@@ -16,6 +16,8 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import ndtri
 
+from .errors import DomainError
+
 __all__ = ["counter_uniforms", "counter_normals"]
 
 _WORDS_PER_BLOCK = 4  # Philox-4x64 emits four 64-bit words per counter value
@@ -35,6 +37,8 @@ def counter_uniforms(seed: int, start: int, count: int, width: int) -> np.ndarra
     """
     if count < 0 or width <= 0:
         raise ValueError(f"need count >= 0 and width > 0, got count={count} width={width}")
+    if not 0 <= seed < 2**128:
+        raise DomainError(f"seed must lie in [0, 2**128), got {seed}")
     budget = _padded_budget(width)
     bg = np.random.Philox(key=seed, counter=start * (budget // _WORDS_PER_BLOCK))
     raw = bg.random_raw(count * budget).reshape(count, budget)[:, :width]

@@ -27,10 +27,8 @@ from ._streams import counter_normals
 from .algebra import gell_mann_basis
 from .config import TOLERANCES
 from .errors import DomainError, SWPhaseError, ValidationError
-from .group import EulerSU2, EulerSU3, haar_sample, weingarten2_check, weingarten4_check
+from .group import haar_sample, weingarten2_check, weingarten4_check
 from .kernel import (
-    QUTRIT_NU_MAX,
-    QUTRIT_NU_MIN,
     ModuliPoint,
     _check_nu,
     isotropy_signature,
@@ -43,13 +41,12 @@ from .kernel import (
 )
 from .states import DensityState, rho_from_bloch, state_as_dict, state_from_dict
 from .wigner import (
+    chart_wf,
     check_covariance,
     check_norm,
     check_standardisation,
     check_traciality,
-    qubit_wf,
-    qutrit_wf,
-    qutrit_wf_adapted,
+    kernel_chart,
     reconstruct_state,
     seeded_hermitian,
     state_wf_sampler,
@@ -262,13 +259,12 @@ def cmd_moduli_sample(args) -> int:
     return 0 if record["pass"] else 1
 
 
-_QUBIT_ANGLES = ("alpha", "beta")
-_GENERIC_ANGLES = ("alpha", "beta", "gamma", "a", "b", "theta")
-_REDUCED_ANGLES = ("alpha", "beta", "gamma", "theta")
+#: Largest wigner-eval grid, in points; its rows are held in memory at once.
+_MAX_GRID_POINTS = 10**6
 
 
 def _parse_grid(specs: Sequence[str] | None, allowed: Sequence[str]) -> dict[str, np.ndarray]:
-    grids = {name: np.zeros(1) for name in allowed}
+    axes = {}
     for spec in specs or ():
         name, _, rest = spec.partition("=")
         if name not in allowed:
@@ -282,69 +278,35 @@ def _parse_grid(specs: Sequence[str] | None, allowed: Sequence[str]) -> dict[str
             start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
         except ValueError as exc:
             raise ValidationError(f"cannot parse grid spec {spec!r}: {exc}") from exc
+        if not (math.isfinite(start) and math.isfinite(stop)):
+            raise ValidationError(f"grid spec {spec!r} has a non-finite end point")
         if count < 1:
             raise ValidationError(f"grid count must be >= 1, got {count}")
-        grids[name] = np.linspace(start, stop, count)  # inclusive of both endpoints
-    return grids
+        axes[name] = (start, stop, count)
+    size = math.prod(count for _, _, count in axes.values())
+    if size > _MAX_GRID_POINTS:
+        raise DomainError(f"grid of {size} points exceeds the limit of {_MAX_GRID_POINTS}")
+    # inclusive of both endpoints; omitted angles stay at 0
+    return {name: np.linspace(*axes[name]) if name in axes else np.zeros(1) for name in allowed}
 
 
 def cmd_wigner_eval(args) -> int:
-    if args.n not in (2, 3):
-        raise DomainError("wigner-eval grids use the Euler charts and support --n 2 or --n 3")
     state = _resolve_state(args)
     moduli, nu = _resolve_moduli(args)
-    basis = gell_mann_basis(args.n)
+    chart = kernel_chart(moduli)
+    grids = _parse_grid(args.grid, chart.angles)
+    mesh = [m.reshape(-1) for m in np.meshgrid(*(grids[name] for name in chart.angles), indexing="ij")]
+    # --nu goes in as nu: like qutrit_wf, the values then take their moduli from wigner.qutrit_mu,
+    # which the wrong-kernel self-test of perfbench replaces
+    w = chart_wf(state.bloch, moduli if nu is None else nu, chart, dict(zip(chart.angles, mesh)))
+    rows = np.column_stack([*mesh, w]).tolist()
 
-    if args.n == 2:
-        chart = "qubit"
-        angles = _QUBIT_ANGLES
-
-        def value(point: dict[str, float]) -> float:
-            return qubit_wf(state.bloch, EulerSU2(**point))
-
-    elif nu == QUTRIT_NU_MIN:
-        chart = "reduced"
-        angles = _REDUCED_ANGLES
-
-        def value(point: dict[str, float]) -> float:
-            return qutrit_wf(state.bloch, nu, EulerSU3(**point), basis)
-
-    elif nu == QUTRIT_NU_MAX:
-        chart = "adapted"
-        angles = _REDUCED_ANGLES
-
-        def value(point: dict[str, float]) -> float:
-            return qutrit_wf_adapted(state.bloch, **point)
-
-    else:
-        chart = "standard"
-        angles = _GENERIC_ANGLES
-        mu3, mu8 = moduli.mu
-
-        def value(point: dict[str, float]) -> float:
-            if nu is not None:
-                return qutrit_wf(state.bloch, nu, EulerSU3(**point), basis)
-            from .group import n3_closed_form, n8_closed_form
-
-            e = EulerSU3(**point)
-            frame = mu3 * n3_closed_form(e) + mu8 * n8_closed_form(e)
-            return 1.0 / 3.0 + 4.0 / 3.0 * float(frame @ state.bloch)
-
-    grids = _parse_grid(args.grid, angles)
-    axes = [grids[name] for name in angles]
-    mesh = np.meshgrid(*axes, indexing="ij") if axes else []
-    flat = [m.reshape(-1) for m in mesh]
-    rows = []
-    for k in range(flat[0].size if flat else 0):
-        point = {name: float(flat[i][k]) for i, name in enumerate(angles)}
-        rows.append([point[name] for name in angles] + [value(point)])
-
-    columns = list(angles) + ["w"]
+    columns = [*chart.angles, "w"]
     payload = {
         "n": args.n,
         "mu": [float(x) for x in moduli.mu],
         "nu": nu,
-        "chart": chart,
+        "chart": chart.name,
         "state": state_as_dict(state),
         "columns": columns,
         "rows": rows,

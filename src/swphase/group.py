@@ -35,6 +35,7 @@ __all__ = [
     "adjoint_vector",
     "adjoint_matrix",
     "adjoint_frame",
+    "qubit_frame",
     "n3_closed_form",
     "n8_closed_form",
     "nprime_closed_form",
@@ -60,7 +61,9 @@ class EulerSU3:
     The chart covers the group for alpha, a in [0, 2pi], beta, b in [0, pi],
     gamma, c in [0, 4pi], theta in [0, pi/2], phi in [0, sqrt(3) pi].  Angles
     outside these ranges only trigger a warning: the closed-form identities in
-    this module hold for all real angles, and tests sweep freely.
+    this module hold for all real angles, and tests sweep freely.  Angles may
+    be arrays of one shape; the closed forms then return one frame vector per
+    point, on the last axis, and the range check runs once for all points.
     """
 
     alpha: float = 0.0
@@ -83,20 +86,21 @@ class EulerSU3:
             "theta": (self.theta, math.pi / 2.0),
             "phi": (self.phi, math.sqrt(3.0) * math.pi),
         }
-        off = [name for name, (value, hi) in ranges.items() if not 0.0 <= value <= hi]
+        off = [name for name, (value, hi) in ranges.items() if not np.all((0.0 <= value) & (value <= hi))]
         if off:
             warnings.warn(f"Euler angle(s) outside the chart ranges: {', '.join(off)}", stacklevel=3)
 
 
 @dataclass(frozen=True)
 class EulerSU2:
-    """Angles of the qubit coset chart `e^{i alpha/2 s3} e^{i beta/2 s2} e^{-i alpha/2 s3}`."""
+    """Angles of the qubit coset chart `e^{i alpha/2 s3} e^{i beta/2 s2} e^{-i alpha/2 s3}`, or arrays of them."""
 
     alpha: float = 0.0
     beta: float = 0.0
 
     def __post_init__(self):
-        if not (0.0 <= self.alpha <= 2.0 * math.pi and 0.0 <= self.beta <= math.pi):
+        a, b = self.alpha, self.beta
+        if not np.all((0.0 <= a) & (a <= 2.0 * math.pi) & (0.0 <= b) & (b <= math.pi)):
             warnings.warn("qubit chart angles outside [0, 2pi] x [0, pi]", stacklevel=3)
 
 
@@ -113,6 +117,8 @@ class PhasePoint:
         n = self.dim_n
         if u.shape != (n, n):
             raise ValidationError(f"expected a {n}x{n} matrix, got shape {u.shape}")
+        if not np.all(np.isfinite(u)):
+            raise ValidationError("phase-space matrix has non-finite entries")
         if np.max(np.abs(u.conj().T @ u - np.eye(n))) > TOLERANCES.spectral:
             raise ValidationError("phase-space matrix is not unitary within tolerance")
         if abs(np.linalg.det(u) - 1.0) > TOLERANCES.spectral:
@@ -243,6 +249,21 @@ def adjoint_frame(p: PhasePoint, basis: GellMannBasis) -> AdjointFrame:
     )
 
 
+def _frame(*components) -> np.ndarray:
+    """Frame components stacked on a last axis, broadcast over the angle arrays they depend on."""
+    return np.stack(np.broadcast_arrays(*components), axis=-1)
+
+
+def qubit_frame(e: EulerSU2) -> np.ndarray:
+    """Closed-form adjoint vector of the s3 direction in the qubit coset chart.
+
+    `(-cos(alpha) sin(beta), sin(alpha) sin(beta), cos(beta))`, the trace
+    definition `adjoint_vector(su2_coset(e), 3)` in closed form.
+    """
+    al, be = e.alpha, e.beta
+    return _frame(-np.cos(al) * np.sin(be), np.sin(al) * np.sin(be), np.cos(be))
+
+
 def n3_closed_form(e: EulerSU3) -> np.ndarray:
     """Closed-form adjoint vector of the g3 direction in the SU(3) Euler chart.
 
@@ -251,29 +272,27 @@ def n3_closed_form(e: EulerSU3) -> np.ndarray:
     all real angles.
     """
     al, be, ga, a, b, th = e.alpha, e.beta, e.gamma, e.a, e.b, e.theta
-    sb, cb = math.sin(b), math.cos(b)
-    cth = math.cos(th)
-    s2t = math.sin(2.0 * th)
-    flat = 1.0 - 0.5 * math.sin(th) ** 2
-    sbe2, cbe2 = math.sin(be / 2.0), math.cos(be / 2.0)
-    sth = math.sin(th)
-    return np.array(
-        [
-            sb * cth * (math.sin(al) * math.sin(a + ga) - math.cos(al) * math.cos(be) * math.cos(a + ga))
-            - math.cos(al) * math.sin(be) * cb * flat,
-            sb * cth * (math.cos(al) * math.sin(a + ga) + math.sin(al) * math.cos(be) * math.cos(a + ga))
-            + math.sin(al) * math.sin(be) * cb * flat,
-            -math.sin(be) * sb * cth * math.cos(a + ga) + math.cos(be) * cb * flat,
-            sb * sth * sbe2 * math.cos(a + (ga - al) / 2.0)
-            - 0.5 * cb * s2t * cbe2 * math.cos((al + ga) / 2.0),
-            sb * sth * sbe2 * math.sin(a + (ga - al) / 2.0)
-            + 0.5 * cb * s2t * cbe2 * math.sin((al + ga) / 2.0),
-            sb * sth * cbe2 * math.cos(a + (al + ga) / 2.0)
-            + 0.5 * cb * s2t * sbe2 * math.cos((al - ga) / 2.0),
-            sb * sth * cbe2 * math.sin(a + (al + ga) / 2.0)
-            + 0.5 * cb * s2t * sbe2 * math.sin((al - ga) / 2.0),
-            -math.sqrt(3.0) / 2.0 * cb * sth**2,
-        ]
+    sb, cb = np.sin(b), np.cos(b)
+    cth = np.cos(th)
+    s2t = np.sin(2.0 * th)
+    flat = 1.0 - 0.5 * np.sin(th) ** 2
+    sbe2, cbe2 = np.sin(be / 2.0), np.cos(be / 2.0)
+    sth = np.sin(th)
+    return _frame(
+        sb * cth * (np.sin(al) * np.sin(a + ga) - np.cos(al) * np.cos(be) * np.cos(a + ga))
+        - np.cos(al) * np.sin(be) * cb * flat,
+        sb * cth * (np.cos(al) * np.sin(a + ga) + np.sin(al) * np.cos(be) * np.cos(a + ga))
+        + np.sin(al) * np.sin(be) * cb * flat,
+        -np.sin(be) * sb * cth * np.cos(a + ga) + np.cos(be) * cb * flat,
+        sb * sth * sbe2 * np.cos(a + (ga - al) / 2.0)
+        - 0.5 * cb * s2t * cbe2 * np.cos((al + ga) / 2.0),
+        sb * sth * sbe2 * np.sin(a + (ga - al) / 2.0)
+        + 0.5 * cb * s2t * cbe2 * np.sin((al + ga) / 2.0),
+        sb * sth * cbe2 * np.cos(a + (al + ga) / 2.0)
+        + 0.5 * cb * s2t * sbe2 * np.cos((al - ga) / 2.0),
+        sb * sth * cbe2 * np.sin(a + (al + ga) / 2.0)
+        + 0.5 * cb * s2t * sbe2 * np.sin((al - ga) / 2.0),
+        -math.sqrt(3.0) / 2.0 * cb * sth**2,
     )
 
 
@@ -286,20 +305,18 @@ def n8_closed_form(e: EulerSU3) -> np.ndarray:
     """
     al, be, ga, th = e.alpha, e.beta, e.gamma, e.theta
     s32 = math.sqrt(3.0) / 2.0
-    sth2 = math.sin(th) ** 2
-    s2t = math.sin(2.0 * th)
-    sbe2, cbe2 = math.sin(be / 2.0), math.cos(be / 2.0)
-    return np.array(
-        [
-            s32 * math.cos(al) * math.sin(be) * sth2,
-            -s32 * math.sin(al) * math.sin(be) * sth2,
-            -s32 * math.cos(be) * sth2,
-            -s32 * math.cos((al + ga) / 2.0) * cbe2 * s2t,
-            s32 * math.sin((al + ga) / 2.0) * cbe2 * s2t,
-            s32 * math.cos((al - ga) / 2.0) * sbe2 * s2t,
-            s32 * math.sin((al - ga) / 2.0) * sbe2 * s2t,
-            1.0 - 1.5 * sth2,
-        ]
+    sth2 = np.sin(th) ** 2
+    s2t = np.sin(2.0 * th)
+    sbe2, cbe2 = np.sin(be / 2.0), np.cos(be / 2.0)
+    return _frame(
+        s32 * np.cos(al) * np.sin(be) * sth2,
+        -s32 * np.sin(al) * np.sin(be) * sth2,
+        -s32 * np.cos(be) * sth2,
+        -s32 * np.cos((al + ga) / 2.0) * cbe2 * s2t,
+        s32 * np.sin((al + ga) / 2.0) * cbe2 * s2t,
+        s32 * np.cos((al - ga) / 2.0) * sbe2 * s2t,
+        s32 * np.sin((al - ga) / 2.0) * sbe2 * s2t,
+        1.0 - 1.5 * sth2,
     )
 
 
@@ -313,20 +330,18 @@ def nprime_closed_form(alpha: float, beta: float, gamma: float, theta: float) ->
     always has unit norm.
     """
     s32 = math.sqrt(3.0) / 2.0
-    sth2 = math.sin(theta) ** 2
-    s2t = math.sin(2.0 * theta)
-    sbe2, cbe2 = math.sin(beta / 2.0), math.cos(beta / 2.0)
-    return np.array(
-        [
-            -s32 * math.cos((alpha - gamma) / 2.0) * sbe2 * s2t,
-            -s32 * math.sin((alpha - gamma) / 2.0) * sbe2 * s2t,
-            s32 * (math.cos(theta) ** 2 - sbe2**2 * sth2),
-            -s32 * math.cos((alpha + gamma) / 2.0) * cbe2 * s2t,
-            s32 * math.sin((alpha + gamma) / 2.0) * cbe2 * s2t,
-            s32 * math.cos(alpha) * math.sin(beta) * sth2,
-            -s32 * math.sin(alpha) * math.sin(beta) * sth2,
-            0.5 * (1.0 - 3.0 * cbe2**2 * sth2),
-        ]
+    sth2 = np.sin(theta) ** 2
+    s2t = np.sin(2.0 * theta)
+    sbe2, cbe2 = np.sin(beta / 2.0), np.cos(beta / 2.0)
+    return _frame(
+        -s32 * np.cos((alpha - gamma) / 2.0) * sbe2 * s2t,
+        -s32 * np.sin((alpha - gamma) / 2.0) * sbe2 * s2t,
+        s32 * (np.cos(theta) ** 2 - sbe2**2 * sth2),
+        -s32 * np.cos((alpha + gamma) / 2.0) * cbe2 * s2t,
+        s32 * np.sin((alpha + gamma) / 2.0) * cbe2 * s2t,
+        s32 * np.cos(alpha) * np.sin(beta) * sth2,
+        -s32 * np.sin(alpha) * np.sin(beta) * sth2,
+        0.5 * (1.0 - 3.0 * cbe2**2 * sth2),
     )
 
 

@@ -108,6 +108,8 @@ def moduli_point(n: int, mu: Sequence[float]) -> ModuliPoint:
     vec = np.asarray(mu, dtype=float)
     if vec.shape != (n - 1,):
         raise ValidationError(f"moduli vector for N={n} must have length {n - 1}, got shape {vec.shape}")
+    if not np.all(np.isfinite(vec)):
+        raise ValidationError(f"moduli vector must be finite, got {vec.tolist()}")
     norm = float(vec @ vec)
     if abs(norm - 1.0) > TOLERANCES.algebraic:
         raise ValidationError(f"moduli vector must be unit length, got |mu|^2 = {norm!r}")

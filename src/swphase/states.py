@@ -51,6 +51,8 @@ def rho_from_bloch(n: int, xi: np.ndarray) -> DensityState:
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (n * n - 1,):
         raise ValidationError(f"Bloch vector for N={n} must have length {n * n - 1}, got shape {xi.shape}")
+    if not np.all(np.isfinite(xi)):
+        raise ValidationError(f"Bloch vector must be finite, got {xi.tolist()}")
     basis = gell_mann_basis(n)
     rho = (np.eye(n) + bloch_scale(n) * np.einsum("a,aij->ij", xi, basis.generators)) / n
     lo = float(np.linalg.eigvalsh(rho)[0])

@@ -15,17 +15,15 @@ contract: results are seed-reproducible and independent of batch layout.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
-from typing import Callable, NamedTuple
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
 from ._streams import counter_normals
-from .algebra import GellMannBasis, gell_mann_basis, symmetric_structure_constants
+from .algebra import GellMannBasis, gell_mann_basis
 from .config import TOLERANCES
 from .errors import (
     DomainError,
-    InvalidStateError,
     NumericalIntegrityError,
     ValidationError,
 )
@@ -38,18 +36,18 @@ from .group import (
     n3_closed_form,
     n8_closed_form,
     nprime_closed_form,
+    qubit_frame,
 )
 from .kernel import (
     QUTRIT_NU_MAX,
     QUTRIT_NU_MIN,
     KernelMatrix,
     ModuliPoint,
-    _check_nu,
     assemble_kernel,
     kernel_diagonal,
     qutrit_mu,
 )
-from .states import DensityState, qutrit_bloch_constraints
+from .states import DensityState, rho_from_bloch
 
 __all__ = [
     "wigner_value",
@@ -57,6 +55,9 @@ __all__ = [
     "qubit_wf",
     "qutrit_wf",
     "qutrit_wf_adapted",
+    "EulerChart",
+    "kernel_chart",
+    "chart_wf",
     "reconstruct_state",
     "state_wf_sampler",
     "ReconstructionResult",
@@ -87,8 +88,11 @@ def wigner_value(state: DensityState, kernel: KernelMatrix) -> float:
     return value.real
 
 
-def _wigner_prefactor(n: int) -> float:
-    return (n * n - 1.0) / math.sqrt(n + 1.0)
+def _closed_form(xi: np.ndarray, frame: np.ndarray) -> float | np.ndarray:
+    """`(1/N)[1 + (N**2-1)/sqrt(N+1) * (n, xi)]` for a frame `n` of shape `(..., N**2-1)`."""
+    n = math.isqrt(xi.size + 1)
+    w = (1.0 + (n * n - 1.0) / math.sqrt(n + 1.0) * (frame @ xi)) / n
+    return float(w) if np.ndim(w) == 0 else w
 
 
 def wigner_closed_form(
@@ -100,15 +104,11 @@ def wigner_closed_form(
     `n = sum_s mu_s n^(s**2-1)(U)`; agrees with `wigner_value` on the
     assembled kernel to round-off.
     """
-    n = p.dim_n
-    xi = np.asarray(xi, dtype=float)
-    if xi.shape != (n * n - 1,):
-        raise ValidationError(f"Bloch vector for N={n} must have length {n * n - 1}, got shape {xi.shape}")
     frame = sum(
         mu_s * adjoint_vector(point, label, basis)
         for mu_s, label in zip(p.mu, basis.cartan_indices)
     )
-    return (1.0 + _wigner_prefactor(n) * float(frame @ xi)) / n
+    return _closed_form(rho_from_bloch(p.dim_n, xi).bloch, frame)
 
 
 def qubit_wf(r: np.ndarray, e: EulerSU2) -> float:
@@ -117,59 +117,22 @@ def qubit_wf(r: np.ndarray, e: EulerSU2) -> float:
     The frame vector is `n = (-cos(alpha) sin(beta), sin(alpha) sin(beta),
     cos(beta))`.  Raises `InvalidStateError` if `|r| > 1`.
     """
-    r = np.asarray(r, dtype=float)
-    if r.shape != (3,):
-        raise ValidationError(f"qubit Bloch vector must have length 3, got shape {r.shape}")
-    norm = float(np.linalg.norm(r))
-    if norm > 1.0 + TOLERANCES.algebraic:
-        raise InvalidStateError(f"qubit Bloch vector has |r| = {norm!r} > 1")
-    frame = np.array(
-        [
-            -math.cos(e.alpha) * math.sin(e.beta),
-            math.sin(e.alpha) * math.sin(e.beta),
-            math.cos(e.beta),
-        ]
-    )
-    return 0.5 + math.sqrt(3.0) / 2.0 * float(r @ frame)
+    return _closed_form(rho_from_bloch(2, r).bloch, qubit_frame(e))
 
 
-@lru_cache(maxsize=1)
-def _qutrit_structure_tensor():
-    return symmetric_structure_constants(gell_mann_basis(3))
-
-
-def _validated_qutrit_bloch(xi: np.ndarray) -> np.ndarray:
-    xi = np.asarray(xi, dtype=float)
-    c1, c2, ok = qutrit_bloch_constraints(xi, _qutrit_structure_tensor())
-    if not ok:
-        raise InvalidStateError(
-            f"qutrit Bloch vector violates the positivity constraints (c1={c1!r}, c2={c2!r})"
-        )
-    return xi
+def _qutrit_frame(mu: np.ndarray, e: EulerSU3) -> np.ndarray:
+    return mu[0] * n3_closed_form(e) + mu[1] * n8_closed_form(e)
 
 
 def qutrit_wf(xi: np.ndarray, nu: float, e: EulerSU3, basis: GellMannBasis) -> float:
     """Qutrit Wigner function `1/3 + (4/3)[mu3 (n3, xi) + mu8 (n8, xi)]`.
 
-    The family endpoints route to their reduced forms: at `nu = -1` the value
-    is `1/3 + (4/3)(n8, xi)` and depends only on (alpha, beta, gamma, theta);
-    at `nu = -1/3` it is `1/3 + (2/sqrt(3))(n3 + n8/sqrt(3), xi)`.  Interior
-    values use the family coefficients; all three paths agree where they
-    meet.
+    `(mu3, mu8) = qutrit_mu(nu)`.  At `nu = -1` the value depends only on
+    (alpha, beta, gamma, theta), because `mu3 = 0` there.
     """
     if basis.dim_n != 3:
         raise ValidationError(f"qutrit Wigner function needs the N=3 basis, got N={basis.dim_n}")
-    xi = _validated_qutrit_bloch(xi)
-    nu = _check_nu(nu)
-    if nu == QUTRIT_NU_MIN:
-        return 1.0 / 3.0 + 4.0 / 3.0 * float(n8_closed_form(e) @ xi)
-    if nu == QUTRIT_NU_MAX:
-        mixed = n3_closed_form(e) + n8_closed_form(e) / math.sqrt(3.0)
-        return 1.0 / 3.0 + 2.0 / math.sqrt(3.0) * float(mixed @ xi)
-    mu3, mu8 = qutrit_mu(nu).mu
-    return 1.0 / 3.0 + 4.0 / 3.0 * (
-        mu3 * float(n3_closed_form(e) @ xi) + mu8 * float(n8_closed_form(e) @ xi)
-    )
+    return _closed_form(rho_from_bloch(3, xi).bloch, _qutrit_frame(qutrit_mu(nu).mu, e))
 
 
 def qutrit_wf_adapted(
@@ -178,11 +141,61 @@ def qutrit_wf_adapted(
     """Wigner function of the `nu = -1/3` kernel in the adapted four-angle chart.
 
     Evaluates `1/3 + (4/3)(nprime, xi)` with the adapted-chart frame vector;
-    covers the same four-dimensional phase space as the `nu = -1/3` branch of
-    `qutrit_wf` in different coordinates.
+    covers the same four-dimensional phase space as `qutrit_wf` at
+    `nu = -1/3` in different coordinates.
     """
-    xi = _validated_qutrit_bloch(xi)
-    return 1.0 / 3.0 + 4.0 / 3.0 * float(nprime_closed_form(alpha, beta, gamma, theta) @ xi)
+    return _closed_form(rho_from_bloch(3, xi).bloch, nprime_closed_form(alpha, beta, gamma, theta))
+
+
+class EulerChart(NamedTuple):
+    """Euler-angle coordinates of a kernel's phase space, with the moduli-weighted frame there."""
+
+    name: str
+    angles: tuple[str, ...]
+    frame: Callable[[np.ndarray, EulerSU2 | EulerSU3], np.ndarray]
+
+
+_FOUR_ANGLES = ("alpha", "beta", "gamma", "theta")
+_QUBIT_CHART = EulerChart("qubit", ("alpha", "beta"), lambda mu, e: mu[0] * qubit_frame(e))
+_STANDARD_CHART = EulerChart("standard", ("alpha", "beta", "gamma", "a", "b", "theta"), _qutrit_frame)
+_REDUCED_CHART = EulerChart("reduced", _FOUR_ANGLES, _qutrit_frame)
+# nprime is the frame of the nu = -1/3 kernel, the only kernel routed to this chart
+_ADAPTED_CHART = EulerChart(
+    "adapted", _FOUR_ANGLES, lambda mu, e: nprime_closed_form(e.alpha, e.beta, e.gamma, e.theta)
+)
+
+
+def kernel_chart(p: ModuliPoint) -> EulerChart:
+    """The Euler chart whose coordinates cover the phase space of the kernel `p`.
+
+    A qutrit kernel within the degeneracy gap of `qutrit_mu(-1)` takes the
+    reduced chart, one within it of `qutrit_mu(-1/3)` the adapted chart, and
+    any other the standard chart, which serves every kernel.  The isotropy
+    signature alone cannot decide: `mu = (0, -1)` is degenerate like
+    `nu = -1/3`, but in levels 1-2, where the adapted chart does not apply.
+    """
+    if p.dim_n == 2:
+        return _QUBIT_CHART
+    if p.dim_n != 3:
+        raise DomainError(f"Euler charts exist for N=2 and N=3, got N={p.dim_n}")
+    for nu, chart in ((QUTRIT_NU_MIN, _REDUCED_CHART), (QUTRIT_NU_MAX, _ADAPTED_CHART)):
+        if np.max(np.abs(p.mu - qutrit_mu(nu).mu)) <= TOLERANCES.degeneracy_gap:
+            return chart
+    return _STANDARD_CHART
+
+
+def chart_wf(
+    xi: np.ndarray, kernel: ModuliPoint | float, chart: EulerChart, angles: Mapping[str, np.ndarray]
+) -> float | np.ndarray:
+    """Closed-form Wigner values at chart points, broadcasting over array angles.
+
+    `kernel` is a moduli point, or a qutrit family parameter taken through
+    `qutrit_mu` as in `qutrit_wf`.  The Bloch vector and the angle ranges
+    are checked once for all points; omitted angles are 0.
+    """
+    p = kernel if isinstance(kernel, ModuliPoint) else qutrit_mu(kernel)
+    xi = rho_from_bloch(p.dim_n, xi).bloch
+    return _closed_form(xi, chart.frame(p.mu, (EulerSU2 if p.dim_n == 2 else EulerSU3)(**angles)))
 
 
 def _delta_batch(u: np.ndarray, diag: np.ndarray) -> np.ndarray:

@@ -2,10 +2,23 @@
 import csv
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from swphase import (
+    EulerSU2,
+    EulerSU3,
+    assemble_kernel,
+    gell_mann_basis,
+    moduli_point,
+    qutrit_mu,
+    rho_from_bloch,
+    su2_coset,
+    su3_from_euler,
+    wigner_value,
+)
 from swphase.cli import main
 
 
@@ -61,6 +74,8 @@ def test_kernel_flag_conflicts(capsys):
     assert code == 2 and "--mu" in err
     code, _, err = run(capsys, "spectrum", "--n", "3", "--mu", "0.9,0.9")
     assert code == 2
+    code, _, err = run(capsys, "spectrum", "--n", "3", "--mu", "nan,1")
+    assert code == 2 and "finite" in err
 
 
 def test_moduli_sample_qubit_exact(capsys):
@@ -150,6 +165,98 @@ def test_wigner_eval_rejects_bad_inputs(capsys):
     assert code == 2
     code, _, err = run(capsys, "wigner-eval", "--n", "4", "--mu", "0,0,1", "--state", "x")
     assert code == 2
+    code, _, err = run(capsys, "wigner-eval", "--n", "2", "--state", "0,0,nan")
+    assert code == 2 and "finite" in err
+    code, _, err = run(capsys, "wigner-eval", "--n", "3", "--nu", "-0.5", "--state", "0,0,0,0,0,0,0,nan")
+    assert code == 2 and "finite" in err
+    for stop in ("inf", "nan"):
+        code, _, err = run(
+            capsys, "wigner-eval", "--n", "2", "--state", "0,0,1", "--grid", f"beta=0:{stop}:3"
+        )
+        assert code == 2 and "non-finite" in err
+    # rejected from the counts, before any grid array is allocated
+    code, _, err = run(
+        capsys, "wigner-eval", "--n", "2", "--state", "0,0,1",
+        "--grid", "alpha=0:1:100000", "--grid", "beta=0:1:100000",
+    )
+    assert code == 2 and "10000000000 points" in err
+
+
+XI3 = [0.1, -0.05, 0.2, 0.03, -0.1, 0.07, 0.02, -0.15]
+CHART_ANGLES = {
+    "qubit": ["alpha", "beta"],
+    "standard": ["alpha", "beta", "gamma", "a", "b", "theta"],
+    "reduced": ["alpha", "beta", "gamma", "theta"],
+    "adapted": ["alpha", "beta", "gamma", "theta"],
+}
+SWAP13 = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+
+
+def chart_unitary(chart, point):
+    """The phase-space point of a chart, built from the chart maps of `group`."""
+    if chart == "qubit":
+        return su2_coset(EulerSU2(**point)).u
+    if chart == "adapted":
+        # the adapted chart at w is the level-1/3 swap conjugate of the standard chart at -w
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            u = su3_from_euler(EulerSU3(**{k: -v for k, v in point.items()}), gell_mann_basis(3)).u
+        return SWAP13 @ u @ SWAP13
+    return su3_from_euler(EulerSU3(**point), gell_mann_basis(3)).u
+
+
+@pytest.mark.parametrize(
+    "kernel, chart",
+    [
+        (["--nu", "-1"], "reduced"),
+        (["--mu", "0,1"], "reduced"),
+        (["--nu", "-0.3333333333"], "adapted"),
+        (["--mu", "0.8660254037844386,0.5"], "adapted"),
+        (["--nu", "-0.5"], "standard"),
+        (["--mu", "0.6,-0.8"], "standard"),
+        (["--mu", "0,-1"], "standard"),  # degenerate, but in levels 1-2
+        (["--mu", "1"], "qubit"),
+        (["--mu", "-1"], "qubit"),
+    ],
+)
+def test_wigner_eval_routes_match_trace_form(capsys, kernel, chart):
+    n = 2 if chart == "qubit" else 3
+    xi = [0.3, -0.2, 0.5] if n == 2 else XI3
+    if kernel[0] == "--nu":
+        moduli = qutrit_mu(float(kernel[1]))
+    else:
+        moduli = moduli_point(n, [float(x) for x in kernel[1].split(",")])
+    state = rho_from_bloch(n, np.array(xi))
+    base = ["wigner-eval", "--n", str(n), *kernel, "--state", ",".join(map(str, xi))]
+    grid = ["--grid", "alpha=0.3:5.9:3", "--grid", "beta=0.2:3:3"]
+    if n == 3:
+        grid += ["--grid", "gamma=0.5:11:2", "--grid", "theta=0.1:1.5:3"]
+    code, out, _ = run(capsys, *base, *grid)
+    assert code == 0
+    payload = json.loads(out)
+    angles = CHART_ANGLES[chart]
+    assert payload["chart"] == chart
+    assert payload["columns"] == [*angles, "w"]
+    assert len(payload["rows"]) == (9 if n == 2 else 54)
+    basis = gell_mann_basis(n)
+    for row in payload["rows"]:
+        u = chart_unitary(chart, dict(zip(angles, row[:-1])))
+        assert row[-1] == pytest.approx(wigner_value(state, assemble_kernel(moduli, u, basis)), abs=1e-12)
+
+    # an out-of-range grid warns once for the whole grid
+    with pytest.warns(UserWarning) as record:
+        code, _, _ = run(capsys, *base, "--grid", "beta=3.2:4:5")
+    assert code == 0
+    assert len(record) == 1
+    assert ("qubit chart" if n == 2 else "beta") in str(record[0].message)
+
+
+def test_seed_out_of_range(capsys):
+    code, _, err = run(capsys, "moduli-sample", "--n", "3", "--seed", "-5")
+    assert code == 2 and "seed" in err
+    # verify draws from seed+1 .. seed+103; every one of them must be valid
+    code, _, err = run(capsys, "verify", "--n", "2", "--samples", "10000", "--seed", "-20")
+    assert code == 2 and "seed" in err
 
 
 def test_wigner_eval_state_file(tmp_path, capsys):

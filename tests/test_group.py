@@ -105,6 +105,8 @@ def test_haar_first_moment():
 def test_phase_point_validates_unitarity():
     with pytest.raises(ValidationError):
         PhasePoint(dim_n=2, u=np.ones((2, 2), dtype=complex))
+    with pytest.raises(ValidationError, match="non-finite"):
+        PhasePoint(dim_n=2, u=np.full((2, 2), np.nan, dtype=complex))
 
 
 # --------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """The counter-based substream contract: partition independence and reproducibility."""
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from swphase import DomainError
 from swphase._streams import counter_normals, counter_uniforms
 
 
@@ -53,3 +55,11 @@ def test_normals_moments_sane():
     z = counter_normals(seed=0, start=0, count=4000, width=4).ravel()
     assert abs(z.mean()) < 5.0 / np.sqrt(z.size)
     assert abs(z.std() - 1.0) < 5.0 / np.sqrt(z.size)
+
+
+def test_seed_range():
+    # Philox keys are 128-bit; anything outside is a domain error, not a ValueError traceback
+    assert counter_uniforms(2**128 - 1, 0, 1, 1).shape == (1, 1)
+    for seed in (-1, 2**128):
+        with pytest.raises(DomainError):
+            counter_uniforms(seed, 0, 1, 1)
