@@ -14,17 +14,22 @@ that sample boundaries coincide with Philox counter blocks.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import DomainError
 
-__all__ = ["counter_uniforms", "counter_normals"]
+__all__ = ["counter_uniforms", "counter_normals", "check_seed"]
 
 _WORDS_PER_BLOCK = 4  # Philox-4x64 emits four 64-bit words per counter value
 
 
 def _padded_budget(width: int) -> int:
     return -(-width // _WORDS_PER_BLOCK) * _WORDS_PER_BLOCK
+
+
+def check_seed(seed: int) -> None:
+    """Raise `DomainError` unless `seed` is a valid Philox key, an integer in [0, 2**128)."""
+    if not 0 <= seed < 2**128:
+        raise DomainError(f"seed must lie in [0, 2**128), got {seed}")
 
 
 def counter_uniforms(seed: int, start: int, count: int, width: int) -> np.ndarray:
@@ -37,8 +42,7 @@ def counter_uniforms(seed: int, start: int, count: int, width: int) -> np.ndarra
     """
     if count < 0 or width <= 0:
         raise ValueError(f"need count >= 0 and width > 0, got count={count} width={width}")
-    if not 0 <= seed < 2**128:
-        raise DomainError(f"seed must lie in [0, 2**128), got {seed}")
+    check_seed(seed)
     budget = _padded_budget(width)
     bg = np.random.Philox(key=seed, counter=start * (budget // _WORDS_PER_BLOCK))
     raw = bg.random_raw(count * budget).reshape(count, budget)[:, :width]
@@ -47,4 +51,8 @@ def counter_uniforms(seed: int, start: int, count: int, width: int) -> np.ndarra
 
 def counter_normals(seed: int, start: int, count: int, width: int) -> np.ndarray:
     """Standard normal variates with the same substream addressing as `counter_uniforms`."""
+    # scipy.special takes most of the package's import time; commands that
+    # never draw normals should not pay for it.
+    from scipy.special import ndtri
+
     return ndtri(counter_uniforms(seed, start, count, width))

@@ -1,10 +1,11 @@
 """SU(N) machinery: Haar sampling, Euler charts, adjoint frame vectors, Weingarten oracles.
 
-Haar samples are generated from complex Ginibre matrices by QR
-orthonormalization with the standard phase correction, then pushed from U(N)
-to SU(N) by dividing the first column by the determinant (a measure-preserving
-move for every balanced observable: the overall U(1) phase cancels between
-`U` and `U*` factors, so all Weingarten moments used here are unchanged).
+Haar samples are the Q factor of complex Ginibre matrices whose R factor has
+a positive real diagonal (Mezzadri 2007), then pushed from U(N) to SU(N) by
+dividing the first column by the determinant (a measure-preserving move for
+every balanced observable: the overall U(1) phase cancels between `U` and
+`U*` factors, so all Weingarten moments used here are unchanged).  That Q is
+built by classical Gram-Schmidt applied twice, vectorised over the batch.
 Sampling follows the counter-based substream contract of `_streams`, making
 every Monte Carlo result independent of batching.
 """
@@ -136,20 +137,58 @@ class AdjointFrame:
     n8: np.ndarray
 
 
+def _orthonormalize(g: np.ndarray) -> np.ndarray:
+    """The Q factor with positive real R diagonal of each matrix in `g`, computed in place.
+
+    Classical Gram-Schmidt over the columns, with the projection applied twice:
+    one pass loses orthogonality in proportion to the condition number, two
+    keep it at round-off (Giraud, Langou, Rozloznik 2005).  Sums run over
+    matrix indices only, never across the batch axis, so a sample's
+    arithmetic does not depend on the batch it is in.
+    """
+    n = g.shape[-1]
+    for j in range(n):
+        v = g[:, :, j]
+        if j:
+            q = g[:, :, :j]
+            qc = q.conj()
+            for _ in range(2):
+                v = v - np.einsum("kil,kl->ki", q, np.einsum("kil,ki->kl", qc, v))
+        norm = np.sqrt(np.einsum("ki,ki->k", v.real, v.real) + np.einsum("ki,ki->k", v.imag, v.imag))
+        g[:, :, j] = v / norm[:, None]
+    return g
+
+
+def _det(q: np.ndarray) -> np.ndarray:
+    """Determinants of a batch of matrices: cofactor expansion for N <= 3, LAPACK above."""
+    n = q.shape[-1]
+    if n == 2:
+        return q[:, 0, 0] * q[:, 1, 1] - q[:, 0, 1] * q[:, 1, 0]
+    if n == 3:
+        return (
+            q[:, 0, 0] * (q[:, 1, 1] * q[:, 2, 2] - q[:, 1, 2] * q[:, 2, 1])
+            - q[:, 0, 1] * (q[:, 1, 0] * q[:, 2, 2] - q[:, 1, 2] * q[:, 2, 0])
+            + q[:, 0, 2] * (q[:, 1, 0] * q[:, 2, 1] - q[:, 1, 1] * q[:, 2, 0])
+        )
+    return np.linalg.det(q)
+
+
 def haar_batch(n: int, seed: int, start: int, count: int) -> np.ndarray:
     """Haar samples `start .. start+count-1` on SU(N), shape `(count, n, n)`.
 
     Sample `k` depends only on `(n, seed, k)`, so runs with different batch
-    splits or sample totals share their common prefix bit-for-bit.
+    splits or sample totals share their common prefix bit-for-bit.  Each
+    sample is the Q factor, with positive real R diagonal, of a complex
+    Ginibre matrix, by twice-applied Gram-Schmidt; its first column is then
+    divided by its determinant, in closed form for N <= 3.
     """
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
     z = counter_normals(seed, start, count, 2 * n * n)
-    g = (z[:, : n * n] + 1j * z[:, n * n :]).reshape(count, n, n) / math.sqrt(2.0)
-    q, r = np.linalg.qr(g)
-    d = np.einsum("kii->ki", r)
-    q *= (d / np.abs(d))[:, None, :]
-    q[:, :, 0] /= np.linalg.det(q)[:, None]
+    g = (z[:, : n * n] + 1j * z[:, n * n :]).reshape(count, n, n)
+    # Q does not depend on the Ginibre scale 1/sqrt(2), so it is not applied
+    q = _orthonormalize(g)
+    q[:, :, 0] /= _det(q)[:, None]
     return q
 
 

@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._streams import counter_normals
+from ._streams import check_seed, counter_normals
 from .algebra import GellMannBasis, gell_mann_basis
 from .config import TOLERANCES
 from .errors import DomainError, ValidationError
@@ -280,6 +280,7 @@ def moduli_domain_fraction(n: int, samples: int, seed: int) -> float:
     """
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
+    check_seed(seed)
     if n == 2:
         return 0.5
     if samples < 1000:

@@ -378,20 +378,24 @@ def check_covariance(
 ) -> float:
     """Round-off-level residual of the covariance postulate.
 
-    Computes `|tr((g rho g^dag) Delta(U)) - tr(rho (g^dag Delta(U) g))|` for
-    the kernel at `kernel_point`; the identity is algebraic, so the residual
-    must vanish to round-off, not statistically.
+    Computes the largest entry of `|Delta(g U) - g Delta(U) g^dag|` for the
+    kernel at `U = kernel_point`, both kernels assembled by `assemble_kernel`;
+    `g` is moved into SU(N) by its determinant phase, which cancels on the
+    right-hand side.  The identity is algebraic, so the residual must vanish
+    to round-off, not statistically.  `state` fixes the dimension: the
+    postulate is a property of the kernel, so no choice of state can hide a
+    kernel that breaks it.
     """
-    basis = gell_mann_basis(state.dim_n)
-    kernel = assemble_kernel(moduli, kernel_point.u, basis)
+    n = state.dim_n
+    basis = gell_mann_basis(n)
     g = np.asarray(g, dtype=complex)
-    if np.max(np.abs(g.conj().T @ g - np.eye(state.dim_n))) > TOLERANCES.spectral:
+    if np.max(np.abs(g.conj().T @ g - np.eye(n))) > TOLERANCES.spectral:
         raise ValidationError("transformation matrix is not unitary within tolerance")
-    moved_state = g @ state.rho @ g.conj().T
-    moved_kernel = g.conj().T @ kernel.delta @ g
-    lhs = complex(np.einsum("ij,ji->", moved_state, kernel.delta))
-    rhs = complex(np.einsum("ij,ji->", state.rho, moved_kernel))
-    return abs(lhs - rhs)
+    u = kernel_point.u
+    special = g / np.linalg.det(g) ** (1.0 / n)
+    moved = assemble_kernel(moduli, special @ u, basis).delta
+    expected = g @ assemble_kernel(moduli, u, basis).delta @ g.conj().T
+    return float(np.max(np.abs(moved - expected)))
 
 
 def seeded_hermitian(n: int, seed: int) -> np.ndarray:

@@ -2,6 +2,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -252,8 +255,10 @@ def test_wigner_eval_routes_match_trace_form(capsys, kernel, chart):
 
 
 def test_seed_out_of_range(capsys):
-    code, _, err = run(capsys, "moduli-sample", "--n", "3", "--seed", "-5")
-    assert code == 2 and "seed" in err
+    for n in ("2", "3"):
+        # N=2 returns 1/2 without drawing, but the seed is still checked
+        code, _, err = run(capsys, "moduli-sample", "--n", n, "--seed", "-5")
+        assert code == 2 and "seed" in err
     # verify draws from seed+1 .. seed+103; every one of them must be valid
     code, _, err = run(capsys, "verify", "--n", "2", "--samples", "10000", "--seed", "-20")
     assert code == 2 and "seed" in err
@@ -310,6 +315,19 @@ def test_verify_all_pass(capsys):
         assert record["pass"] is True
 
 
+def test_verify_fails_on_noncovariant_kernel(monkeypatch, capsys):
+    import swphase.wigner
+
+    original = swphase.wigner.assemble_kernel
+    monkeypatch.setattr(
+        swphase.wigner, "assemble_kernel", lambda p, u, basis: original(p, np.asarray(u).conj().T, basis)
+    )
+    code, out, _ = run(capsys, "verify", "--n", "3", "--nu=-0.5", "--samples", "20000", "--seed", "7")
+    assert code == 1
+    covariance = json.loads(out)["checks"][0]
+    assert covariance["check"] == "covariance" and covariance["pass"] is False
+
+
 def test_verify_csv_parity(tmp_path, capsys):
     json_path = tmp_path / "report.json"
     csv_path = tmp_path / "report.csv"
@@ -336,6 +354,19 @@ def test_outputs_byte_identical(tmp_path, capsys):
     assert main(args + ["--output", str(b)]) == 0
     capsys.readouterr()
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_commands_without_sampling_skip_scipy_special():
+    # scipy.special is needed only to draw normals; a fresh process shows what was imported
+    code = (
+        "import sys, swphase, swphase.cli\n"
+        "assert swphase.cli.main(['spectrum', '--n', '3', '--nu', '-0.5']) == 0\n"
+        "assert swphase.cli.main(['wigner-eval', '--n', '2', '--state', '0,0,1']) == 0\n"
+        "assert 'scipy.special' not in sys.modules\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
 
 
 def test_usage_error_exit_code():

@@ -35,6 +35,8 @@ from swphase import (
     weingarten2_check,
     weingarten4_check,
 )
+from swphase._streams import counter_normals
+from swphase.group import _orthonormalize
 
 B3 = gell_mann_basis(3)
 
@@ -73,7 +75,18 @@ def euler_via_expm(e: EulerSU3) -> np.ndarray:
 # Haar sampling
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+def lapack_haar(n: int, seed: int, start: int, count: int) -> np.ndarray:
+    """Haar samples by LAPACK QR, the phase fix of Mezzadri (2007) and LAPACK det."""
+    z = counter_normals(seed, start, count, 2 * n * n)
+    g = (z[:, : n * n] + 1j * z[:, n * n :]).reshape(count, n, n) / math.sqrt(2.0)
+    q, r = np.linalg.qr(g)
+    d = np.einsum("kii->ki", r)
+    q *= (d / np.abs(d))[:, None, :]
+    q[:, :, 0] /= np.linalg.det(q)[:, None]
+    return q
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6, 8])
 def test_haar_batch_special_unitary(n):
     u = haar_batch(n, seed=0, start=0, count=100)
     assert u.shape == (100, n, n)
@@ -83,10 +96,28 @@ def test_haar_batch_special_unitary(n):
 
 
 def test_haar_partition_independent():
-    whole = haar_batch(3, seed=9, start=0, count=23)
-    head = haar_batch(3, seed=9, start=0, count=11)
-    tail = haar_batch(3, seed=9, start=11, count=12)
-    assert np.array_equal(whole, np.vstack([head, tail]))
+    for n in range(2, 10):
+        whole = haar_batch(n, seed=9, start=0, count=23)
+        for bounds in ([0, 11, 23], [0, 1, 2, 9, 23]):
+            parts = [haar_batch(n, seed=9, start=a, count=b - a) for a, b in zip(bounds, bounds[1:])]
+            assert np.array_equal(whole, np.vstack(parts)), (n, bounds)
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_haar_batch_matches_lapack_reference(n):
+    u = haar_batch(n, seed=4, start=0, count=4096)
+    assert np.max(np.abs(u - lapack_haar(n, 4, 0, 4096))) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [3, 6])
+def test_orthonormalize_ill_conditioned(n):
+    # last column = first + 1e-11 noise, condition number ~1e12: a single
+    # Gram-Schmidt pass leaves errors near 1e-4, the second pass removes them
+    rng = np.random.default_rng(n)
+    g = rng.normal(size=(256, n, n)) + 1j * rng.normal(size=(256, n, n))
+    g[:, :, -1] = g[:, :, 0] + 1e-11 * (rng.normal(size=(256, n)) + 1j * rng.normal(size=(256, n)))
+    q = _orthonormalize(g)
+    assert np.max(np.abs(np.einsum("kji,kjl->kil", q.conj(), q) - np.eye(n))) <= 1e-13
 
 
 def test_haar_sample_is_first_of_batch():

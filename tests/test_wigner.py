@@ -259,3 +259,17 @@ def test_covariance_validates_group_element():
     state = rho_from_bloch(2, [0.0, 0.0, 0.5])
     with pytest.raises(ValidationError):
         check_covariance(state, haar_sample(2, seed=0), MU2, np.ones((2, 2)))
+
+
+def test_covariance_detects_noncovariant_kernel(monkeypatch):
+    # U^dag P U has the right spectrum at every point but moves the wrong way under g
+    import swphase.wigner
+
+    original = swphase.wigner.assemble_kernel
+    monkeypatch.setattr(
+        swphase.wigner, "assemble_kernel", lambda p, u, basis: original(p, np.asarray(u).conj().T, basis)
+    )
+    rng = np.random.default_rng(7)
+    state = rho_from_bloch(3, ball_vector(rng, 8, 0.3))
+    residual = check_covariance(state, haar_sample(3, seed=8), qutrit_mu(-0.6), haar_sample(3, seed=9).u)
+    assert residual > 1e-12
