@@ -17,9 +17,11 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["counter_uniforms", "counter_normals", "check_seed"]
+__all__ = ["counter_uniforms", "counter_normals", "check_seed", "batches"]
 
 _WORDS_PER_BLOCK = 4  # Philox-4x64 emits four 64-bit words per counter value
+_BATCH = 1 << 16  # samples per batch of every Monte Carlo loop
+_MIN_SAMPLES = 1000  # fewest samples any Monte Carlo estimate accepts
 
 
 def _padded_budget(width: int) -> int:
@@ -30,6 +32,16 @@ def check_seed(seed: int) -> None:
     """Raise `DomainError` unless `seed` is a valid Philox key, an integer in [0, 2**128)."""
     if not 0 <= seed < 2**128:
         raise DomainError(f"seed must lie in [0, 2**128), got {seed}")
+
+
+def batches(samples: int):
+    """`(start, count)` pairs covering samples `0 .. samples-1`, in the package's one batch size.
+
+    Raises `DomainError` at once, not on first iteration, below the sample floor.
+    """
+    if samples < _MIN_SAMPLES:
+        raise DomainError(f"need at least {_MIN_SAMPLES} samples, got {samples}")
+    return ((start, min(_BATCH, samples - start)) for start in range(0, samples, _BATCH))
 
 
 def counter_uniforms(seed: int, start: int, count: int, width: int) -> np.ndarray:

@@ -27,7 +27,7 @@ from ._streams import counter_normals
 from .algebra import gell_mann_basis
 from .config import TOLERANCES
 from .errors import DomainError, SWPhaseError, ValidationError
-from .group import haar_sample, weingarten2_check, weingarten4_check
+from .group import _MOMENT_MIN_SAMPLES, haar_sample, weingarten2_check, weingarten4_check
 from .kernel import (
     ModuliPoint,
     _check_nu,
@@ -232,18 +232,19 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
-def _fraction_record(n: int, samples: int, seed: int) -> dict:
-    fraction = moduli_domain_fraction(n, samples, seed)
-    target = 1.0 / math.factorial(n)
-    sigma = math.sqrt(target * (1.0 - target) / samples) if n > 2 else 0.0
-    z = abs(fraction - target) / sigma if sigma > 0 else 0.0
+def _record(check: str, n: int, moduli, samples: int, seed: int, mc: float, target: float, sigma: float) -> dict:
+    """One check's record, with the one pass rule: |z| <= 3, or within the algebraic tolerance when sigma is 0."""
+    if sigma > 0:
+        z = abs(mc - target) / sigma
+    else:
+        z = 0.0 if abs(mc - target) <= TOLERANCES.algebraic else math.inf
     return {
-        "check": "moduli_fraction",
+        "check": check,
         "n": n,
-        "moduli": [],
+        "moduli": [float(x) for x in moduli],
         "samples": samples,
         "seed": seed,
-        "mc": fraction,
+        "mc": mc,
         "target": target,
         "sigma": sigma,
         "z": z,
@@ -251,8 +252,15 @@ def _fraction_record(n: int, samples: int, seed: int) -> dict:
     }
 
 
+def _fraction_record(n: int, moduli, samples: int, seed: int) -> dict:
+    target = 1.0 / math.factorial(n)
+    # N=2 is exact (no sampling), so sigma 0 sends it to the algebraic tolerance
+    sigma = math.sqrt(target * (1.0 - target) / samples) if n > 2 else 0.0
+    return _record("moduli_fraction", n, moduli, samples, seed, moduli_domain_fraction(n, samples, seed), target, sigma)
+
+
 def cmd_moduli_sample(args) -> int:
-    record = _fraction_record(args.n, args.samples, args.seed)
+    record = _fraction_record(args.n, (), args.samples, args.seed)
     header = ["check", "n", "samples", "seed", "mc", "target", "sigma", "z", "pass"]
     row = [record[k] for k in header]
     _emit(args, record, header, [row])
@@ -316,8 +324,6 @@ def cmd_wigner_eval(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    if args.samples < 1000:
-        raise DomainError(f"need at least 1000 samples, got {args.samples}")
     state = _resolve_state(args)
     moduli, nu = _resolve_moduli(args)
     sampler = state_wf_sampler(state, moduli)
@@ -355,70 +361,45 @@ def cmd_reconstruct(args) -> int:
     return 0
 
 
-def _statistical_record(check: str, args, moduli, seed: int, mc: float, target: float, sigma: float) -> dict:
-    z = abs(mc - target) / sigma if sigma > 0 else (0.0 if abs(mc - target) <= TOLERANCES.algebraic else math.inf)
-    return {
-        "check": check,
-        "n": args.n,
-        "moduli": [float(x) for x in moduli.mu],
-        "samples": args.samples,
-        "seed": seed,
-        "mc": mc,
-        "target": target,
-        "sigma": sigma,
-        "z": z,
-        "pass": z <= _Z_LIMIT,
-    }
-
-
 def cmd_verify(args) -> int:
     moduli, _ = _resolve_moduli(args)
     n, samples, seed = args.n, args.samples, args.seed
+    if samples < _MOMENT_MIN_SAMPLES:
+        raise DomainError(
+            f"verify needs at least {_MOMENT_MIN_SAMPLES} samples, the minimum of its Weingarten moment checks; "
+            f"got {samples}"
+        )
     state = _seeded_ball_state(n, seed + 11)
-    records = []
 
+    def record(check, check_seed, mc, target, sigma):
+        return _record(check, n, moduli.mu, samples, check_seed, mc, target, sigma)
+
+    # covariance is algebraic: one sample, sigma 0
     residual = check_covariance(state, haar_sample(n, seed + 12), moduli, haar_sample(n, seed + 13).u)
-    records.append(
-        {
-            "check": "covariance",
-            "n": n,
-            "moduli": [float(x) for x in moduli.mu],
-            "samples": 1,
-            "seed": seed + 12,
-            "mc": residual,
-            "target": 0.0,
-            "sigma": 0.0,
-            "z": 0.0,
-            "pass": residual <= TOLERANCES.algebraic,
-        }
-    )
+    records = [_record("covariance", n, moduli.mu, 1, seed + 12, residual, 0.0, 0.0)]
 
     norm = check_norm(state, moduli, samples, seed + 1)
-    records.append(_statistical_record("norm", args, moduli, seed + 1, norm.mc, 1.0, norm.sigma))
+    records.append(record("norm", seed + 1, norm.mc, 1.0, norm.sigma))
 
     a = seeded_hermitian(n, seed + 102)
     b = seeded_hermitian(n, seed + 103)
     std = check_standardisation(a, moduli, samples, seed + 2)
-    records.append(_statistical_record("standardisation", args, moduli, seed + 2, std.mc, std.target, std.sigma))
+    records.append(record("standardisation", seed + 2, std.mc, std.target, std.sigma))
 
     trc = check_traciality(a, b, moduli, samples, seed + 3)
-    records.append(_statistical_record("traciality", args, moduli, seed + 3, trc.mc, trc.target, trc.sigma))
+    records.append(record("traciality", seed + 3, trc.mc, trc.target, trc.sigma))
 
     w2 = weingarten2_check(n, (1, 1, 1, 1), samples, seed + 4)
-    records.append(_statistical_record("weingarten2", args, moduli, seed + 4, w2.mc.real, w2.closed_form, w2.sigma))
+    records.append(record("weingarten2", seed + 4, w2.mc.real, w2.closed_form, w2.sigma))
 
     w4 = weingarten4_check(n, (1, 1, 1, 1, 1, 1, 1, 1), samples, seed + 5)
-    records.append(_statistical_record("weingarten4", args, moduli, seed + 5, w4.mc.real, w4.closed_form, w4.sigma))
+    records.append(record("weingarten4", seed + 5, w4.mc.real, w4.closed_form, w4.sigma))
 
-    fraction = _fraction_record(n, samples, seed + 6)
-    fraction["moduli"] = [float(x) for x in moduli.mu]
-    records.append(fraction)
+    records.append(_fraction_record(n, moduli.mu, samples, seed + 6))
 
     recon = reconstruct_state(state_wf_sampler(state, moduli), n, moduli, samples, seed + 7)
     err = float(np.linalg.norm(recon.rho_hat - state.rho))
-    records.append(
-        _statistical_record("reconstruction", args, moduli, seed + 7, err, 0.0, recon.frobenius_error_estimate)
-    )
+    records.append(record("reconstruction", seed + 7, err, 0.0, recon.frobenius_error_estimate))
 
     all_pass = all(r["pass"] for r in records)
     payload = {

@@ -19,7 +19,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ._streams import counter_normals
+from ._streams import batches, counter_normals
 from .algebra import GellMannBasis, gell_mann_basis
 from .config import TOLERANCES
 from .errors import DomainError, ValidationError
@@ -47,7 +47,8 @@ __all__ = [
     "MomentCheck",
 ]
 
-_BATCH = 1 << 16
+#: Fewest samples of a Weingarten moment check (and so of `swphase verify`).
+_MOMENT_MIN_SAMPLES = 10_000
 
 #: Invariant volume of SU(3) in the Euler chart, sqrt(3) * pi**5.  Recorded for
 #: documentation only; all integrals in this package are Monte Carlo averages
@@ -426,30 +427,31 @@ class MomentCheck(NamedTuple):
     sigma: float
 
 
-def _check_indices(n: int, indices: Sequence[int], arity: int) -> tuple[int, ...]:
+def _check_moment_args(n: int, indices: Sequence[int], arity: int, samples: int) -> tuple[int, ...]:
     idx = tuple(int(i) for i in indices)
     if len(idx) != arity:
         raise DomainError(f"expected {arity} indices, got {len(idx)}")
     if any(not 1 <= i <= n for i in idx):
         raise DomainError(f"indices must lie in 1..{n}, got {idx}")
+    if samples < _MOMENT_MIN_SAMPLES:
+        raise DomainError(f"need at least {_MOMENT_MIN_SAMPLES} samples, got {samples}")
     return idx
 
 
-def _moment_values(n: int, seed: int, samples: int, fill) -> np.ndarray:
-    if samples < 10_000:
-        raise DomainError(f"need at least 10000 samples, got {samples}")
-    values = np.empty(samples, dtype=complex)
-    for start in range(0, samples, _BATCH):
-        count = min(_BATCH, samples - start)
-        u = haar_batch(n, seed, start, count)
-        values[start : start + count] = fill(u)
-    return values
+def _haar_average(n: int, seed: int, samples: int, f) -> tuple[np.generic, float]:
+    """Haar average of `f` over samples `0 .. samples-1`, with the standard error of its real part.
 
-
-def _moment_check(values: np.ndarray, closed_form: float) -> MomentCheck:
-    mc = complex(values.mean())
-    sigma = float(values.real.std() / math.sqrt(len(values)))
-    return MomentCheck(mc=mc, closed_form=closed_form, sigma=sigma)
+    `f` maps a `(count, n, n)` batch of Haar samples to `count` real or complex
+    values.  All values are kept, and reduced by numpy's `mean` and `std` at
+    the end, so the result does not depend on the batch size.
+    """
+    values = None
+    for start, count in batches(samples):
+        batch = f(haar_batch(n, seed, start, count))
+        if values is None:
+            values = np.empty(samples, dtype=batch.dtype)
+        values[start : start + count] = batch
+    return values.mean(), float(values.real.std() / math.sqrt(samples))
 
 
 def weingarten2_check(n: int, indices: Sequence[int], samples: int, seed: int) -> MomentCheck:
@@ -458,12 +460,10 @@ def weingarten2_check(n: int, indices: Sequence[int], samples: int, seed: int) -
     The closed form is `delta_{i l} delta_{j k} / N`.  Indices are 1-based
     `(i, j, k, l)`; `sigma` is the standard error of the real part.
     """
-    i, j, k, l = _check_indices(n, indices, 4)
+    i, j, k, l = _check_moment_args(n, indices, 4, samples)
     cf = (1.0 / n) if (i == l and j == k) else 0.0
-    values = _moment_values(
-        n, seed, samples, lambda u: u[:, i - 1, j - 1] * u[:, l - 1, k - 1].conj()
-    )
-    return _moment_check(values, cf)
+    mc, sigma = _haar_average(n, seed, samples, lambda u: u[:, i - 1, j - 1] * u[:, l - 1, k - 1].conj())
+    return MomentCheck(mc=complex(mc), closed_form=cf, sigma=sigma)
 
 
 def weingarten4_check(n: int, indices: Sequence[int], samples: int, seed: int) -> MomentCheck:
@@ -480,7 +480,7 @@ def weingarten4_check(n: int, indices: Sequence[int], samples: int, seed: int) -
     U(1) phase cancels, so the U(N)-form closed expression applies verbatim
     for every N >= 2.
     """
-    i1, j1, i2, j2, k1, l1, k2, l2 = _check_indices(n, indices, 8)
+    i1, j1, i2, j2, k1, l1, k2, l2 = _check_moment_args(n, indices, 8, samples)
     direct = (i1 == l1) * (i2 == l2) * (j1 == k1) * (j2 == k2) + (i1 == l2) * (i2 == l1) * (
         j1 == k2
     ) * (j2 == k1)
@@ -488,7 +488,7 @@ def weingarten4_check(n: int, indices: Sequence[int], samples: int, seed: int) -
         j1 == k1
     ) * (j2 == k2)
     cf = direct / (n * n - 1.0) - crossed / (n * (n * n - 1.0))
-    values = _moment_values(
+    mc, sigma = _haar_average(
         n,
         seed,
         samples,
@@ -497,4 +497,4 @@ def weingarten4_check(n: int, indices: Sequence[int], samples: int, seed: int) -
         * u[:, l1 - 1, k1 - 1].conj()
         * u[:, l2 - 1, k2 - 1].conj(),
     )
-    return _moment_check(values, cf)
+    return MomentCheck(mc=complex(mc), closed_form=cf, sigma=sigma)

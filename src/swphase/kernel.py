@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._streams import check_seed, counter_normals
+from ._streams import batches, check_seed, counter_normals
 from .algebra import GellMannBasis, gell_mann_basis
 from .config import TOLERANCES
 from .errors import DomainError, ValidationError
@@ -56,8 +56,6 @@ __all__ = [
 
 QUTRIT_NU_MIN = -1.0
 QUTRIT_NU_MAX = -1.0 / 3.0
-
-_SAMPLE_BATCH = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -283,13 +281,10 @@ def moduli_domain_fraction(n: int, samples: int, seed: int) -> float:
     check_seed(seed)
     if n == 2:
         return 0.5
-    if samples < 1000:
-        raise DomainError(f"need at least 1000 samples, got {samples}")
     basis = gell_mann_basis(n)
     kappa = _kernel_scale(n)
     hits = 0
-    for start in range(0, samples, _SAMPLE_BATCH):
-        count = min(_SAMPLE_BATCH, samples - start)
+    for start, count in batches(samples):
         x = counter_normals(seed, start, count, n - 1)
         mu = x / np.linalg.norm(x, axis=1, keepdims=True)
         diag = (1.0 + kappa * mu @ basis.cartan_diagonals) / n

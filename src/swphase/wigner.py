@@ -19,7 +19,7 @@ from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
-from ._streams import counter_normals
+from ._streams import batches, counter_normals
 from .algebra import GellMannBasis, gell_mann_basis
 from .config import TOLERANCES
 from .errors import (
@@ -31,6 +31,7 @@ from .group import (
     EulerSU2,
     EulerSU3,
     PhasePoint,
+    _haar_average,
     adjoint_vector,
     haar_batch,
     n3_closed_form,
@@ -69,8 +70,6 @@ __all__ = [
     "NormCheckResult",
     "seeded_hermitian",
 ]
-
-_BATCH = 1 << 16
 
 
 def wigner_value(state: DensityState, kernel: KernelMatrix) -> float:
@@ -259,15 +258,12 @@ def reconstruct_state(
     contract, a run with `4 m` samples reuses the first `m` samples of the
     run with the same seed.
     """
-    if samples < 1000:
-        raise DomainError(f"need at least 1000 samples, got {samples}")
     if moduli.dim_n != n:
         raise ValidationError(f"moduli dimension {moduli.dim_n} does not match n={n}")
     diag = kernel_diagonal(moduli, gell_mann_basis(n))
     acc = np.zeros((n, n), dtype=complex)
     acc_sq = np.zeros((n, n))
-    for start in range(0, samples, _BATCH):
-        count = min(_BATCH, samples - start)
+    for start, count in batches(samples):
         u = haar_batch(n, seed, start, count)
         delta = _delta_batch(u, diag)
         w = np.asarray(wf_sampler(u), dtype=float)
@@ -313,29 +309,12 @@ def _validated_hermitian(a: np.ndarray, name: str) -> np.ndarray:
     return a
 
 
-def _symbol_values(
-    a: np.ndarray, b: np.ndarray | None, n: int, moduli: ModuliPoint, samples: int, seed: int
-) -> np.ndarray:
-    """Per-sample values `N tr(A Delta_k)` or `N tr(A Delta_k) tr(B Delta_k)`."""
-    if samples < 1000:
-        raise DomainError(f"need at least 1000 samples, got {samples}")
-    diag = kernel_diagonal(moduli, gell_mann_basis(n))
-    values = np.empty(samples)
-    for start in range(0, samples, _BATCH):
-        count = min(_BATCH, samples - start)
-        delta = _delta_batch(haar_batch(n, seed, start, count), diag)
-        va = _symbol_batch(delta, a)
-        if b is None:
-            values[start : start + count] = n * va
-        else:
-            values[start : start + count] = n * va * _symbol_batch(delta, b)
-    return values
-
-
 def check_norm(state: DensityState, moduli: ModuliPoint, samples: int, seed: int) -> NormCheckResult:
     """Monte Carlo check of the norm postulate: the Haar average of `N W` equals `tr(rho) = 1`."""
-    values = _symbol_values(state.rho, None, state.dim_n, moduli, samples, seed)
-    return NormCheckResult(mc=float(values.mean()), sigma=float(values.std() / math.sqrt(samples)))
+    n = state.dim_n
+    diag = kernel_diagonal(moduli, gell_mann_basis(n))
+    mc, sigma = _haar_average(n, seed, samples, lambda u: n * _symbol_batch(_delta_batch(u, diag), state.rho))
+    return NormCheckResult(mc=float(mc), sigma=sigma)
 
 
 def check_standardisation(
@@ -344,12 +323,9 @@ def check_standardisation(
     """Monte Carlo check of standardisation: `N * E[tr(A Delta)] = tr(A)`."""
     a = _validated_hermitian(a, "A")
     n = a.shape[0]
-    values = _symbol_values(a, None, n, moduli, samples, seed)
-    return CheckResult(
-        mc=float(values.mean()),
-        target=float(np.trace(a).real),
-        sigma=float(values.std() / math.sqrt(samples)),
-    )
+    diag = kernel_diagonal(moduli, gell_mann_basis(n))
+    mc, sigma = _haar_average(n, seed, samples, lambda u: n * _symbol_batch(_delta_batch(u, diag), a))
+    return CheckResult(mc=float(mc), target=float(np.trace(a).real), sigma=sigma)
 
 
 def check_traciality(
@@ -365,12 +341,14 @@ def check_traciality(
     if a.shape != b.shape:
         raise ValidationError(f"operator shapes differ: {a.shape} vs {b.shape}")
     n = a.shape[0]
-    values = _symbol_values(a, b, n, moduli, samples, seed)
-    return CheckResult(
-        mc=float(values.mean()),
-        target=float(np.trace(a @ b).real),
-        sigma=float(values.std() / math.sqrt(samples)),
-    )
+    diag = kernel_diagonal(moduli, gell_mann_basis(n))
+
+    def products(u: np.ndarray) -> np.ndarray:
+        delta = _delta_batch(u, diag)
+        return n * _symbol_batch(delta, a) * _symbol_batch(delta, b)
+
+    mc, sigma = _haar_average(n, seed, samples, products)
+    return CheckResult(mc=float(mc), target=float(np.trace(a @ b).real), sigma=sigma)
 
 
 def check_covariance(
