@@ -4,7 +4,7 @@ Every Monte Carlo routine in this package draws sample `k` of a run from a
 Philox block addressed by `(seed, k)` rather than from a sequential generator
 state.  Consequences, relied on throughout:
 
-* results are bit-identical however a sample loop is batched or parallelized;
+* samples are bit-identical however a sample loop is batched or parallelized;
 * a run of `4 * m` samples reuses the first `m` samples of the run with the
   same seed, which makes convergence-rate measurements well correlated.
 

@@ -6,8 +6,8 @@ dividing the first column by the determinant (a measure-preserving move for
 every balanced observable: the overall U(1) phase cancels between `U` and
 `U*` factors, so all Weingarten moments used here are unchanged).  That Q is
 built by classical Gram-Schmidt applied twice, vectorised over the batch.
-Sampling follows the counter-based substream contract of `_streams`, making
-every Monte Carlo result independent of batching.
+Sampling follows the counter-based substream contract of `_streams`, so the
+samples are independent of batching: sample `k` is the same in any batch.
 """
 from __future__ import annotations
 
@@ -166,10 +166,13 @@ def _det(q: np.ndarray) -> np.ndarray:
     if n == 2:
         return q[:, 0, 0] * q[:, 1, 1] - q[:, 0, 1] * q[:, 1, 0]
     if n == 3:
+        # the cofactor, a temporary, goes first: numpy rewrites a large
+        # `view * temporary` as `temporary *= view`, and complex products are
+        # not bitwise commutative, so that order would depend on the batch size
         return (
-            q[:, 0, 0] * (q[:, 1, 1] * q[:, 2, 2] - q[:, 1, 2] * q[:, 2, 1])
-            - q[:, 0, 1] * (q[:, 1, 0] * q[:, 2, 2] - q[:, 1, 2] * q[:, 2, 0])
-            + q[:, 0, 2] * (q[:, 1, 0] * q[:, 2, 1] - q[:, 1, 1] * q[:, 2, 0])
+            (q[:, 1, 1] * q[:, 2, 2] - q[:, 1, 2] * q[:, 2, 1]) * q[:, 0, 0]
+            - (q[:, 1, 0] * q[:, 2, 2] - q[:, 1, 2] * q[:, 2, 0]) * q[:, 0, 1]
+            + (q[:, 1, 0] * q[:, 2, 1] - q[:, 1, 1] * q[:, 2, 0]) * q[:, 0, 2]
         )
     return np.linalg.det(q)
 

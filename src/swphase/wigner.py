@@ -10,7 +10,7 @@ point.  Reconstruction inverts the correspondence by the Haar average
 `rho = N * E[ W(U) Delta(U) ]`, which the integral checks in this module
 verify together with the norm, standardisation, traciality and covariance
 identities.  All Monte Carlo routines follow the counter-based substream
-contract: results are seed-reproducible and independent of batch layout.
+contract: samples are seed-reproducible and independent of batch layout.
 """
 from __future__ import annotations
 

@@ -101,6 +101,11 @@ def test_haar_partition_independent():
         for bounds in ([0, 11, 23], [0, 1, 2, 9, 23]):
             parts = [haar_batch(n, seed=9, start=a, count=b - a) for a, b in zip(bounds, bounds[1:])]
             assert np.array_equal(whole, np.vstack(parts)), (n, bounds)
+    # numpy elides temporaries from 2^14 complex samples on, which must not change a sample
+    for n in (2, 3, 4):
+        whole = haar_batch(n, seed=9, start=0, count=20_000)
+        parts = [haar_batch(n, seed=9, start=0, count=1), haar_batch(n, seed=9, start=1, count=19_999)]
+        assert np.array_equal(whole, np.vstack(parts)), n
 
 
 @pytest.mark.parametrize("n", range(2, 10))
