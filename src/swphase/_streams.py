@@ -37,7 +37,7 @@ def check_seed(seed: int) -> None:
 def batches(samples: int):
     """`(start, count)` pairs covering samples `0 .. samples-1`, in the package's one batch size.
 
-    Raises `DomainError` at once, not on first iteration, below the sample floor.
+    Below the sample floor it raises `DomainError` at the call, not on first iteration.
     """
     if samples < _MIN_SAMPLES:
         raise DomainError(f"need at least {_MIN_SAMPLES} samples, got {samples}")

@@ -115,12 +115,15 @@ def expand_in_basis(m: np.ndarray, basis: GellMannBasis) -> tuple[np.ndarray, fl
 
     Returns `(coefficients, trace_part)` with `c_a = tr(m g_a) / 2` and
     `trace_part = tr(m) / N`.  Raises `ValidationError` if `m` is not
-    Hermitian within the algebraic tolerance or has the wrong shape.
+    finite, not Hermitian within the algebraic tolerance or has the wrong shape.
     """
     m = np.asarray(m, dtype=complex)
     n = basis.dim_n
     if m.shape != (n, n):
         raise ValidationError(f"expected a {n}x{n} matrix, got shape {m.shape}")
+    # NaN compares false with the tolerance below, so it would pass as Hermitian
+    if not np.all(np.isfinite(m)):
+        raise ValidationError("matrix has non-finite entries")
     if np.max(np.abs(m - m.conj().T)) > TOLERANCES.algebraic:
         raise ValidationError("matrix is not Hermitian within tolerance")
     coeffs = np.einsum("ij,aji->a", m, basis.generators).real / 2.0

@@ -234,10 +234,7 @@ def cmd_spectrum(args) -> int:
 
 def _record(check: str, n: int, moduli, samples: int, seed: int, mc: float, target: float, sigma: float) -> dict:
     """One check's record, with the one pass rule: |z| <= 3, or within the algebraic tolerance when sigma is 0."""
-    if sigma > 0:
-        z = abs(mc - target) / sigma
-    else:
-        z = 0.0 if abs(mc - target) <= TOLERANCES.algebraic else math.inf
+    z = abs(mc - target) / sigma if sigma > 0 else (0.0 if abs(mc - target) <= TOLERANCES.algebraic else math.inf)
     return {
         "check": check,
         "n": n,
@@ -366,8 +363,7 @@ def cmd_verify(args) -> int:
     n, samples, seed = args.n, args.samples, args.seed
     if samples < _MOMENT_MIN_SAMPLES:
         raise DomainError(
-            f"verify needs at least {_MOMENT_MIN_SAMPLES} samples, the minimum of its Weingarten moment checks; "
-            f"got {samples}"
+            f"verify needs at least {_MOMENT_MIN_SAMPLES} samples for its Weingarten moment checks, got {samples}"
         )
     state = _seeded_ball_state(n, seed + 11)
 

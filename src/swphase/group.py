@@ -166,9 +166,8 @@ def _det(q: np.ndarray) -> np.ndarray:
     if n == 2:
         return q[:, 0, 0] * q[:, 1, 1] - q[:, 0, 1] * q[:, 1, 0]
     if n == 3:
-        # the cofactor, a temporary, goes first: numpy rewrites a large
-        # `view * temporary` as `temporary *= view`, and complex products are
-        # not bitwise commutative, so that order would depend on the batch size
+        # cofactors first: numpy turns a large `view * temporary` into `temporary *= view`,
+        # and complex products are not bitwise commutative, so the order would follow the batch size
         return (
             (q[:, 1, 1] * q[:, 2, 2] - q[:, 1, 2] * q[:, 2, 1]) * q[:, 0, 0]
             - (q[:, 1, 0] * q[:, 2, 2] - q[:, 1, 2] * q[:, 2, 0]) * q[:, 0, 1]
@@ -444,9 +443,8 @@ def _check_moment_args(n: int, indices: Sequence[int], arity: int, samples: int)
 def _haar_average(n: int, seed: int, samples: int, f) -> tuple[np.generic, float]:
     """Haar average of `f` over samples `0 .. samples-1`, with the standard error of its real part.
 
-    `f` maps a `(count, n, n)` batch of Haar samples to `count` real or complex
-    values.  All values are kept, and reduced by numpy's `mean` and `std` at
-    the end, so the result does not depend on the batch size.
+    `f` maps a `(count, n, n)` batch to `count` real or complex values; all are
+    kept and reduced at the end by numpy's `mean` and `std`.
     """
     values = None
     for start, count in batches(samples):

@@ -91,6 +91,10 @@ def test_expand_roundtrip(n, seed):
 def test_expand_rejects_non_hermitian(basis3):
     with pytest.raises(ValidationError):
         expand_in_basis(np.triu(np.ones((3, 3))), basis3)
+    # non-finite entries pass the Hermitian tolerance test, so they need their own guard
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValidationError, match="non-finite"):
+            expand_in_basis([[bad, 0.0], [0.0, 0.0]], gell_mann_basis(2))
 
 
 def test_basis_is_cached():

@@ -3,6 +3,7 @@ import csv
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
 import warnings
@@ -23,6 +24,8 @@ from swphase import (
     wigner_value,
 )
 from swphase.cli import main
+
+DEMOS = pathlib.Path(__file__).resolve().parents[1] / "demos"
 
 
 def run(capsys, *argv):
@@ -328,6 +331,28 @@ def test_verify_fails_on_noncovariant_kernel(monkeypatch, capsys):
     assert covariance["check"] == "covariance" and covariance["pass"] is False
 
 
+def test_verify_fails_on_broken_purity(monkeypatch, capsys):
+    # the traceless part scaled by 1.25 keeps tr(Delta) = 1 but breaks tr(Delta^2) = N
+    import swphase.wigner
+
+    original = swphase.wigner.kernel_diagonal
+    monkeypatch.setattr(
+        swphase.wigner, "kernel_diagonal", lambda p, basis: 1 / p.dim_n + 1.25 * (original(p, basis) - 1 / p.dim_n)
+    )
+    code, out, _ = run(capsys, "verify", "--n", "3", "--nu=-0.5", "--samples", "20000", "--seed", "7")
+    assert code == 1
+    failed = {r["check"] for r in json.loads(out)["checks"] if not r["pass"]}
+    assert {"traciality", "reconstruction"} <= failed
+
+
+def test_verify_rejects_too_few_samples_before_any_check(monkeypatch, capsys):
+    import swphase.cli
+
+    monkeypatch.setattr(swphase.cli, "check_covariance", lambda *args: pytest.fail("a check ran"))
+    code, _, err = run(capsys, "verify", "--n", "3", "--nu=-0.5", "--samples", "5000")
+    assert code == 2 and "verify needs at least 10000 samples" in err and "Weingarten" in err
+
+
 def test_verify_csv_parity(tmp_path, capsys):
     json_path = tmp_path / "report.json"
     csv_path = tmp_path / "report.csv"
@@ -366,6 +391,15 @@ def test_commands_without_sampling_skip_scipy_special():
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize("demo", sorted(p.name for p in DEMOS.glob("*.py")))
+def test_demo_runs(demo, tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    result = subprocess.run(
+        [sys.executable, str(DEMOS / demo)], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300
+    )
     assert result.returncode == 0, result.stderr
 
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swphase import DomainError
-from swphase._streams import counter_normals, counter_uniforms
+from swphase._streams import batches, counter_normals, counter_uniforms
 
 
 def test_uniforms_open_interval():
@@ -63,3 +63,12 @@ def test_seed_range():
     for seed in (-1, 2**128):
         with pytest.raises(DomainError):
             counter_uniforms(seed, 0, 1, 1)
+
+
+def test_batches_cover_samples_once():
+    spans = list(batches(150_000))
+    assert spans == [(0, 65_536), (65_536, 65_536), (131_072, 18_928)]
+    assert list(batches(1000)) == [(0, 1000)]
+    # the sample floor is checked when batches is called, before any loop starts
+    with pytest.raises(DomainError, match="at least 1000"):
+        batches(999)

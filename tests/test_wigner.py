@@ -273,3 +273,17 @@ def test_covariance_detects_noncovariant_kernel(monkeypatch):
     state = rho_from_bloch(3, ball_vector(rng, 8, 0.3))
     residual = check_covariance(state, haar_sample(3, seed=8), qutrit_mu(-0.6), haar_sample(3, seed=9).u)
     assert residual > 1e-12
+
+
+def test_qutrit_wf_detects_flipped_moduli(monkeypatch):
+    # -mu is a valid kernel too, so the postulate checks pass under the flip;
+    # the closed form must still disagree with the kernel it was asked for
+    import swphase.wigner
+
+    original = swphase.wigner.qutrit_mu
+    monkeypatch.setattr(swphase.wigner, "qutrit_mu", lambda nu: moduli_point(3, -original(nu).mu))
+    rng = np.random.default_rng(3)
+    xi = ball_vector(rng, 8, 0.4)
+    e = random_angles(rng)
+    w = wigner_value(rho_from_bloch(3, xi), assemble_kernel(qutrit_mu(-0.6), su3_from_euler(e, B3).u, B3))
+    assert abs(qutrit_wf(xi, -0.6, e, B3) - w) > 1e-12
