@@ -367,35 +367,32 @@ def cmd_verify(args) -> int:
         )
     state = _seeded_ball_state(n, seed + 11)
 
-    def record(check, check_seed, mc, target, sigma):
-        return _record(check, n, moduli.mu, samples, check_seed, mc, target, sigma)
-
     # covariance is algebraic: one sample, sigma 0
     residual = check_covariance(state, haar_sample(n, seed + 12), moduli, haar_sample(n, seed + 13).u)
     records = [_record("covariance", n, moduli.mu, 1, seed + 12, residual, 0.0, 0.0)]
 
     norm = check_norm(state, moduli, samples, seed + 1)
-    records.append(record("norm", seed + 1, norm.mc, 1.0, norm.sigma))
+    records.append(_record("norm", n, moduli.mu, samples, seed + 1, norm.mc, 1.0, norm.sigma))
 
     a = seeded_hermitian(n, seed + 102)
     b = seeded_hermitian(n, seed + 103)
     std = check_standardisation(a, moduli, samples, seed + 2)
-    records.append(record("standardisation", seed + 2, std.mc, std.target, std.sigma))
+    records.append(_record("standardisation", n, moduli.mu, samples, seed + 2, std.mc, std.target, std.sigma))
 
     trc = check_traciality(a, b, moduli, samples, seed + 3)
-    records.append(record("traciality", seed + 3, trc.mc, trc.target, trc.sigma))
+    records.append(_record("traciality", n, moduli.mu, samples, seed + 3, trc.mc, trc.target, trc.sigma))
 
     w2 = weingarten2_check(n, (1, 1, 1, 1), samples, seed + 4)
-    records.append(record("weingarten2", seed + 4, w2.mc.real, w2.closed_form, w2.sigma))
+    records.append(_record("weingarten2", n, moduli.mu, samples, seed + 4, w2.mc.real, w2.closed_form, w2.sigma))
 
     w4 = weingarten4_check(n, (1, 1, 1, 1, 1, 1, 1, 1), samples, seed + 5)
-    records.append(record("weingarten4", seed + 5, w4.mc.real, w4.closed_form, w4.sigma))
+    records.append(_record("weingarten4", n, moduli.mu, samples, seed + 5, w4.mc.real, w4.closed_form, w4.sigma))
 
     records.append(_fraction_record(n, moduli.mu, samples, seed + 6))
 
     recon = reconstruct_state(state_wf_sampler(state, moduli), n, moduli, samples, seed + 7)
     err = float(np.linalg.norm(recon.rho_hat - state.rho))
-    records.append(record("reconstruction", seed + 7, err, 0.0, recon.frobenius_error_estimate))
+    records.append(_record("reconstruction", n, moduli.mu, samples, seed + 7, err, 0.0, recon.frobenius_error_estimate))
 
     all_pass = all(r["pass"] for r in records)
     payload = {

@@ -463,7 +463,9 @@ def weingarten2_check(n: int, indices: Sequence[int], samples: int, seed: int) -
     """
     i, j, k, l = _check_moment_args(n, indices, 4, samples)
     cf = (1.0 / n) if (i == l and j == k) else 0.0
-    mc, sigma = _haar_average(n, seed, samples, lambda u: u[:, i - 1, j - 1] * u[:, l - 1, k - 1].conj())
+    mc, sigma = _haar_average(
+        n, seed, samples, lambda u: u[:, i - 1, j - 1] * u[:, l - 1, k - 1].conj()
+    )
     return MomentCheck(mc=complex(mc), closed_form=cf, sigma=sigma)
 
 
