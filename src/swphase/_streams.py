@@ -4,7 +4,8 @@ Every Monte Carlo routine in this package draws sample `k` of a run from a
 Philox block addressed by `(seed, k)` rather than from a sequential generator
 state.  Consequences, relied on throughout:
 
-* samples are bit-identical however a sample loop is batched or parallelized;
+* samples are bit-identical however a sample loop is batched or parallelized
+  (`group.haar_batch` fills large batches in slices on several threads);
 * a run of `4 * m` samples reuses the first `m` samples of the run with the
   same seed, which makes convergence-rate measurements well correlated.
 

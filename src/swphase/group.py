@@ -7,11 +7,15 @@ every balanced observable: the overall U(1) phase cancels between `U` and
 `U*` factors, so all Weingarten moments used here are unchanged).  That Q is
 built by classical Gram-Schmidt applied twice, vectorised over the batch.
 Sampling follows the counter-based substream contract of `_streams`, so the
-samples are independent of batching: sample `k` is the same in any batch.
+samples are independent of batching: sample `k` is the same in any batch,
+and whichever thread fills it.
 """
 from __future__ import annotations
 
 import math
+import numbers
+import os
+import threading
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -46,6 +50,13 @@ __all__ = [
     "weingarten4_check",
     "MomentCheck",
 ]
+
+#: Samples per slice of a multi-lane `haar_batch`; small slices keep each
+#: thread's freed temporaries, and so its malloc arena, small.
+_SLICE = 1 << 11
+
+#: Thread pool of each process that has drawn a multi-lane batch, by process id.
+_POOLS: dict = {}
 
 #: Fewest samples of a Weingarten moment check (and so of `swphase verify`).
 _MOMENT_MIN_SAMPLES = 10_000
@@ -176,6 +187,38 @@ def _det(q: np.ndarray) -> np.ndarray:
     return np.linalg.det(q)
 
 
+def _haar_chunk(n: int, seed: int, start: int, count: int) -> np.ndarray:
+    """Haar samples `start .. start+count-1` on SU(N), drawn on the calling thread."""
+    z = counter_normals(seed, start, count, 2 * n * n)
+    g = (z[:, : n * n] + 1j * z[:, n * n :]).reshape(count, n, n)
+    # Q does not depend on the Ginibre scale 1/sqrt(2), so it is not applied
+    q = _orthonormalize(g)
+    q[:, :, 0] /= _det(q)[:, None]
+    return q
+
+
+def _cores() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _pool():
+    """This process's thread pool, created on first use.
+
+    Keyed by process id: a child forked from a process that has a pool
+    inherits the pool object but not its threads, and would wait forever.
+    """
+    pool = _POOLS.get(os.getpid())
+    if pool is None:
+        from concurrent.futures import ThreadPoolExecutor
+
+        pool = _POOLS.setdefault(os.getpid(), ThreadPoolExecutor(max(_cores() - 1, 1)))
+    return pool
+
+
 def haar_batch(n: int, seed: int, start: int, count: int) -> np.ndarray:
     """Haar samples `start .. start+count-1` on SU(N), shape `(count, n, n)`.
 
@@ -184,15 +227,43 @@ def haar_batch(n: int, seed: int, start: int, count: int) -> np.ndarray:
     sample is the Q factor, with positive real R diagonal, of a complex
     Ginibre matrix, by twice-applied Gram-Schmidt; its first column is then
     divided by its determinant, in closed form for N <= 3.
+
+    A batch of more than `_SLICE` samples is cut into slices of `_SLICE`
+    and filled on one lane per CPU of the process's affinity mask, at most
+    one lane per slice: the calling thread is one lane, a per-process thread
+    pool runs the others, and each lane claims the next unfilled slice until
+    none is left, so a lane whose CPU is busy elsewhere holds up at most one
+    slice.  Lanes write disjoint slices and reduce nothing, so the output is
+    the same on any number of CPUs; an exception in any lane reaches the caller.
     """
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
-    z = counter_normals(seed, start, count, 2 * n * n)
-    g = (z[:, : n * n] + 1j * z[:, n * n :]).reshape(count, n, n)
-    # Q does not depend on the Ginibre scale 1/sqrt(2), so it is not applied
-    q = _orthonormalize(g)
-    q[:, :, 0] /= _det(q)[:, None]
-    return q
+    lanes = min(_cores(), -(-count // _SLICE))
+    if lanes <= 1:
+        return _haar_chunk(n, seed, start, count)
+    out = np.empty((count, n, n), dtype=complex)
+    starts = iter(range(0, count, _SLICE))
+    claim = threading.Lock()
+
+    def lane() -> None:
+        while True:
+            with claim:
+                a = next(starts, None)
+            if a is None:
+                return
+            b = min(a + _SLICE, count)
+            out[a:b] = _haar_chunk(n, seed, start + a, b - a)
+
+    # pool lanes never submit to the pool, so nested or concurrent calls cannot deadlock
+    futures = [_pool().submit(lane) for _ in range(1, lanes)]
+    try:
+        lane()
+    finally:
+        for f in futures:
+            f.exception()  # wait, so that no lane outlives the call
+    for f in futures:
+        f.result()
+    return out
 
 
 def haar_sample(n: int, seed: int) -> PhasePoint:
@@ -430,6 +501,8 @@ class MomentCheck(NamedTuple):
 
 
 def _check_moment_args(n: int, indices: Sequence[int], arity: int, samples: int) -> tuple[int, ...]:
+    if any(not (isinstance(i, numbers.Real) and math.isfinite(i) and i == int(i)) for i in indices):
+        raise DomainError(f"indices must be integers, got {tuple(indices)}")
     idx = tuple(int(i) for i in indices)
     if len(idx) != arity:
         raise DomainError(f"expected {arity} indices, got {len(idx)}")

@@ -382,16 +382,39 @@ def test_outputs_byte_identical(tmp_path, capsys):
 
 
 def test_commands_without_sampling_skip_scipy_special():
-    # scipy.special is needed only to draw normals; a fresh process shows what was imported
+    # scipy.special is needed only to draw normals and concurrent.futures only to
+    # draw Haar batches on several CPUs; a fresh process shows what was imported
     code = (
         "import sys, swphase, swphase.cli\n"
         "assert swphase.cli.main(['spectrum', '--n', '3', '--nu', '-0.5']) == 0\n"
         "assert swphase.cli.main(['wigner-eval', '--n', '2', '--state', '0,0,1']) == 0\n"
         "assert 'scipy.special' not in sys.modules\n"
+        "assert 'concurrent.futures' not in sys.modules\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity control")
+def test_verify_on_one_cpu_matches_all_cpus():
+    # pinned to one CPU before swphase is imported, haar_batch draws on the calling thread alone
+    cpu = min(os.sched_getaffinity(0))
+    run = (
+        "import os, sys\n"
+        "if sys.argv[1] == 'pinned':\n"
+        f"    os.sched_setaffinity(0, {{{cpu}}})\n"
+        "from swphase.cli import main\n"
+        "sys.exit(main(sys.argv[2:]))\n"
+    )
+    verify = ["verify", "--n", "3", "--nu=-0.5", "--samples", "20000", "--seed", "7"]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    pinned, free = (
+        subprocess.run([sys.executable, "-c", run, mode, *verify], env=env, capture_output=True, timeout=300)
+        for mode in ("pinned", "free")
+    )
+    assert (pinned.returncode, free.returncode) == (0, 0), pinned.stderr + free.stderr
+    assert pinned.stdout == free.stdout
 
 
 @pytest.mark.parametrize("demo", sorted(p.name for p in DEMOS.glob("*.py")))

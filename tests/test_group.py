@@ -4,6 +4,9 @@ The closed-form chart factors and frame vectors are checked against
 matrix-exponential and trace-definition oracles built independently here.
 """
 import math
+import multiprocessing
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -35,6 +38,7 @@ from swphase import (
     weingarten2_check,
     weingarten4_check,
 )
+from swphase import group
 from swphase._streams import counter_normals
 from swphase.group import _orthonormalize
 
@@ -106,6 +110,60 @@ def test_haar_partition_independent():
         whole = haar_batch(n, seed=9, start=0, count=20_000)
         parts = [haar_batch(n, seed=9, start=0, count=1), haar_batch(n, seed=9, start=1, count=19_999)]
         assert np.array_equal(whole, np.vstack(parts)), n
+
+
+def test_haar_batch_lanes_match_single_slices(monkeypatch):
+    # the calling thread and the pool lanes claim slices as they go; 3 lanes
+    # also exercise the pool on a host with fewer CPUs
+    slice_ = 1 << 11
+    for n in range(2, 7):
+        for start, count in ((0, slice_ + 1), (7, 3 * slice_ + 5), (0, 1 << 16)):
+            stop = start + count
+            singles = np.vstack([haar_batch(n, 9, a, min(slice_, stop - a)) for a in range(start, stop, slice_)])
+            assert np.array_equal(haar_batch(n, 9, start, count), singles), (n, count)
+            with monkeypatch.context() as m:
+                m.setattr(group, "_cores", lambda: 3)
+                assert np.array_equal(haar_batch(n, 9, start, count), singles), (n, count, 3)
+
+
+def test_haar_batch_lane_error_reaches_caller(monkeypatch):
+    # two slices: the calling thread holds its slice until a pool lane has failed on the other
+    chunk = group._haar_chunk
+    pool_failed = threading.Event()
+
+    def failing(n, seed, start, count):
+        if threading.current_thread() is not threading.main_thread():
+            pool_failed.set()
+            raise DomainError("failure in a pool lane")
+        pool_failed.wait(timeout=30)
+        return chunk(n, seed, start, count)
+
+    monkeypatch.setattr(group, "_haar_chunk", failing)
+    monkeypatch.setattr(group, "_cores", lambda: 2)
+    with pytest.raises(DomainError, match="pool lane"):
+        haar_batch(3, 9, 0, (1 << 11) + 1)
+    assert pool_failed.is_set()
+
+
+def _draw_matches(expected):
+    sys.exit(0 if np.array_equal(haar_batch(3, 1, 0, 20_000), expected) else 1)
+
+
+@pytest.mark.filterwarnings("ignore::DeprecationWarning")  # fork with live threads, Python >= 3.12
+def test_forked_child_draws_with_its_own_pool(monkeypatch):
+    # the child inherits the parent's pool object but none of its threads
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("no fork start method")
+    monkeypatch.setattr(group, "_cores", lambda: 2)
+    expected = haar_batch(3, 1, 0, 20_000)
+    child = multiprocessing.get_context("fork").Process(target=_draw_matches, args=(expected,))
+    child.start()
+    child.join(timeout=30)
+    if child.is_alive():
+        child.kill()
+        child.join()
+        pytest.fail("forked child hung in haar_batch")
+    assert child.exitcode == 0
 
 
 @pytest.mark.parametrize("n", range(2, 10))
@@ -358,6 +416,14 @@ def test_weingarten_index_validation():
         weingarten4_check(2, (1, 1, 1, 1), samples=10_000, seed=0)  # wrong arity
     with pytest.raises(DomainError):
         weingarten2_check(2, (1, 1, 1, 1), samples=10, seed=0)  # too few samples
+    with pytest.raises(DomainError):
+        weingarten2_check(3, (1.5, 1, 1, 1.9), samples=10_000, seed=1)  # once read as (1, 1, 1, 1)
+    for bad in (1.5, math.nan, math.inf, np.float64(1.5), 1 + 0j):  # not integers
+        with pytest.raises(DomainError):
+            weingarten2_check(3, (bad, 1, 1, 1), samples=10_000, seed=1)
+    plain = weingarten2_check(3, (2, 1, 1, 2), samples=10_000, seed=1)
+    for two in (2.0, np.int64(2), np.float64(2.0)):
+        assert weingarten2_check(3, (two, 1, 1, 2), samples=10_000, seed=1) == plain
 
 
 def test_weingarten_deterministic():
