@@ -1,28 +1,44 @@
-"""Counter-based random substreams for reproducible, partition-independent Monte Carlo.
+"""Counter-based random substreams, and the slice engine every Monte Carlo loop runs on.
 
 Every Monte Carlo routine in this package draws sample `k` of a run from a
 Philox block addressed by `(seed, k)` rather than from a sequential generator
-state.  Consequences, relied on throughout:
+state (Salmon et al., SC'11).  Consequences, relied on throughout:
 
-* samples are bit-identical however a sample loop is batched or parallelized
-  (`group.haar_batch` fills large batches in slices on several threads);
+* samples are bit-identical however a sample loop is sliced or parallelized;
 * a run of `4 * m` samples reuses the first `m` samples of the run with the
   same seed, which makes convergence-rate measurements well correlated.
 
 Each sample owns a fixed budget of 64-bit words, padded to a multiple of 4 so
 that sample boundaries coincide with Philox counter blocks.
+
+Every Monte Carlo loop runs on the slice engine `over_slices`: lanes (the
+calling thread and a per-process pool) draw `_SLICE`-sample slices into
+scratch borrowed from a per-thread free list and return per-slice partials in
+slice order, so memory is O(lanes x slice) and results do not depend on the CPUs.
 """
 from __future__ import annotations
+
+import os
+import threading
+from contextlib import contextmanager
 
 import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["counter_uniforms", "counter_normals", "check_seed", "batches"]
+__all__ = ["counter_uniforms", "counter_normals", "check_seed", "check_samples", "over_slices", "lane_buffers"]
 
 _WORDS_PER_BLOCK = 4  # Philox-4x64 emits four 64-bit words per counter value
-_BATCH = 1 << 16  # samples per batch of every Monte Carlo loop
 _MIN_SAMPLES = 1000  # fewest samples any Monte Carlo estimate accepts
+
+#: Samples per slice of the engine; small slices keep each lane's scratch small.
+_SLICE = 1 << 11
+
+#: Thread pool of each process that has run a multi-lane loop, by process id.
+_POOLS: dict = {}
+
+#: Per-thread state: `busy` while the thread runs a lane, `free` its idle scratch sets.
+_LANE = threading.local()
 
 
 def _padded_budget(width: int) -> int:
@@ -35,37 +51,113 @@ def check_seed(seed: int) -> None:
         raise DomainError(f"seed must lie in [0, 2**128), got {seed}")
 
 
-def batches(samples: int):
-    """`(start, count)` pairs covering samples `0 .. samples-1`, in the package's one batch size.
-
-    Below the sample floor it raises `DomainError` at the call, not on first iteration.
-    """
+def check_samples(samples: int) -> None:
+    """Raise `DomainError` below the sample floor of every Monte Carlo estimate."""
     if samples < _MIN_SAMPLES:
         raise DomainError(f"need at least {_MIN_SAMPLES} samples, got {samples}")
-    return ((start, min(_BATCH, samples - start)) for start in range(0, samples, _BATCH))
 
 
-def counter_uniforms(seed: int, start: int, count: int, width: int) -> np.ndarray:
+def counter_uniforms(seed: int, start: int, count: int, width: int, *, out: np.ndarray | None = None) -> np.ndarray:
     """Uniform variates on (0, 1) for samples `start .. start+count-1`.
 
     Returns a `(count, width)` array.  Sample `k` is a pure function of
     `(seed, k, width)`: the generator is keyed by `seed` and fast-forwarded by
     counter arithmetic, never by drawing.  The open interval is guaranteed by
-    mapping the top 53 bits of each word to `(i + 0.5) * 2**-53`.
+    mapping the top 53 bits of each word to `(i + 0.5) * 2**-53`.  `out`, a
+    1-D float array of `count` times the padded width or more, receives the
+    words, and the result is a view of it.
     """
     if count < 0 or width <= 0:
         raise ValueError(f"need count >= 0 and width > 0, got count={count} width={width}")
     check_seed(seed)
     budget = _padded_budget(width)
     bg = np.random.Philox(key=seed, counter=start * (budget // _WORDS_PER_BLOCK))
-    raw = bg.random_raw(count * budget).reshape(count, budget)[:, :width]
-    return ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    u = np.empty(count * budget) if out is None else out[: count * budget]
+    # i * 2**-53 + 2**-54 rounds exactly as (i + 0.5) * 2**-53
+    np.random.Generator(bg).random(out=u)
+    u += 2.0**-54
+    return u.reshape(count, budget)[:, :width]
 
 
-def counter_normals(seed: int, start: int, count: int, width: int) -> np.ndarray:
-    """Standard normal variates with the same substream addressing as `counter_uniforms`."""
+def counter_normals(seed: int, start: int, count: int, width: int, *, out: np.ndarray | None = None) -> np.ndarray:
+    """Standard normal variates with the same substream addressing (and `out`) as `counter_uniforms`."""
     # scipy.special takes most of the package's import time; commands that
     # never draw normals should not pay for it.
     from scipy.special import ndtri
 
-    return ndtri(counter_uniforms(seed, start, count, width))
+    u = counter_uniforms(seed, start, count, width, out=out)
+    return ndtri(u, out=u)
+
+
+class _Scratch(dict):
+    def take(self, size: int, dtype: type = float) -> np.ndarray:
+        """The first `size` items of this set's one array of `dtype` (`float` or `complex`), grown when too small."""
+        buf = self.get(dtype)
+        if buf is None or buf.size < size:
+            buf = self[dtype] = np.empty(size, dtype)
+        return buf[:size]
+
+
+@contextmanager
+def lane_buffers():
+    """Borrow a scratch set of the calling thread; a nested borrow gets another set."""
+    free = _LANE.__dict__.setdefault("free", [])
+    scratch = free.pop() if free else _Scratch()
+    yield scratch
+    free.append(scratch)  # a set whose block raised is dropped
+
+
+def _cores() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _pool():
+    """This process's thread pool, created on first use; keyed by process id, as a forked child gets no threads."""
+    pool = _POOLS.get(os.getpid())
+    if pool is None:
+        from concurrent.futures import ThreadPoolExecutor
+
+        pool = _POOLS.setdefault(os.getpid(), ThreadPoolExecutor(max(_cores() - 1, 1)))
+    return pool
+
+
+def over_slices(count: int, partial) -> list:
+    """`[partial(a, b) for each _SLICE-sample slice [a, b) of 0 .. count-1]`, on every lane.
+
+    Each lane claims the next slice until none is left, so a lane whose CPU
+    is busy elsewhere holds up at most one slice.  A call from inside a lane
+    runs on that lane alone, so nested calls cannot deadlock.  An exception
+    in any lane reaches the caller once every lane has stopped.
+    """
+    bounds = [(a, min(a + _SLICE, count)) for a in range(0, count, _SLICE)]
+    results = [None] * len(bounds)
+    todo = iter(range(len(bounds)))
+    claim = threading.Lock()
+
+    def lane() -> None:
+        nested = getattr(_LANE, "busy", False)
+        _LANE.busy = True
+        try:
+            while True:
+                with claim:
+                    i = next(todo, None)
+                if i is None:
+                    return
+                results[i] = partial(*bounds[i])
+        finally:
+            _LANE.busy = nested
+
+    lanes = 1 if getattr(_LANE, "busy", False) else min(_cores(), len(bounds))
+    futures = [_pool().submit(lane) for _ in range(1, lanes)]
+    try:
+        lane()
+    finally:
+        for f in futures:
+            f.exception()  # wait, so that no lane outlives the call
+    for f in futures:
+        f.result()
+    return results

@@ -403,15 +403,8 @@ def cmd_verify(args) -> int:
         "checks": records,
         "all_pass": all_pass,
     }
-    header = ["check", "n"] + [f"mu_{i + 1}" for i in range(len(moduli.mu))] + [
-        "samples",
-        "seed",
-        "mc",
-        "target",
-        "sigma",
-        "z",
-        "pass",
-    ]
+    header = ["check", "n", *(f"mu_{i + 1}" for i in range(len(moduli.mu))), "samples", "seed"]
+    header += ["mc", "target", "sigma", "z", "pass"]
     rows = [
         [r["check"], r["n"]]
         + list(r["moduli"])
@@ -480,10 +473,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SWPhaseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (SWPhaseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

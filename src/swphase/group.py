@@ -14,16 +14,14 @@ from __future__ import annotations
 
 import math
 import numbers
-import os
-import threading
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ._streams import batches, counter_normals
+from ._streams import _padded_budget, check_samples, counter_normals, lane_buffers, over_slices
 from .algebra import GellMannBasis, gell_mann_basis
 from .config import TOLERANCES
 from .errors import DomainError, ValidationError
@@ -32,14 +30,12 @@ __all__ = [
     "PhasePoint",
     "EulerSU3",
     "EulerSU2",
-    "AdjointFrame",
     "haar_sample",
     "haar_batch",
     "su3_from_euler",
     "su2_coset",
     "adjoint_vector",
     "adjoint_matrix",
-    "adjoint_frame",
     "qubit_frame",
     "n3_closed_form",
     "n8_closed_form",
@@ -51,20 +47,8 @@ __all__ = [
     "MomentCheck",
 ]
 
-#: Samples per slice of a multi-lane `haar_batch`; small slices keep each
-#: thread's freed temporaries, and so its malloc arena, small.
-_SLICE = 1 << 11
-
-#: Thread pool of each process that has drawn a multi-lane batch, by process id.
-_POOLS: dict = {}
-
 #: Fewest samples of a Weingarten moment check (and so of `swphase verify`).
 _MOMENT_MIN_SAMPLES = 10_000
-
-#: Invariant volume of SU(3) in the Euler chart, sqrt(3) * pi**5.  Recorded for
-#: documentation only; all integrals in this package are Monte Carlo averages
-#: against the normalized Haar measure, so the volume never enters.
-SU3_VOLUME = math.sqrt(3.0) * math.pi**5
 
 
 @dataclass(frozen=True)
@@ -141,14 +125,6 @@ class PhasePoint:
         object.__setattr__(self, "u", u)
 
 
-@dataclass(frozen=True)
-class AdjointFrame:
-    """The orthonormal pair of Cartan adjoint vectors of an SU(3) element."""
-
-    n3: np.ndarray
-    n8: np.ndarray
-
-
 def _orthonormalize(g: np.ndarray) -> np.ndarray:
     """The Q factor with positive real R diagonal of each matrix in `g`, computed in place.
 
@@ -158,16 +134,21 @@ def _orthonormalize(g: np.ndarray) -> np.ndarray:
     matrix indices only, never across the batch axis, so a sample's
     arithmetic does not depend on the batch it is in.
     """
-    n = g.shape[-1]
-    for j in range(n):
-        v = g[:, :, j]
-        if j:
-            q = g[:, :, :j]
-            qc = q.conj()
-            for _ in range(2):
-                v = v - np.einsum("kil,kl->ki", q, np.einsum("kil,ki->kl", qc, v))
-        norm = np.sqrt(np.einsum("ki,ki->k", v.real, v.real) + np.einsum("ki,ki->k", v.imag, v.imag))
-        g[:, :, j] = v / norm[:, None]
+    count, n = len(g), g.shape[-1]
+    with lane_buffers() as scratch:
+        # temporaries in lane scratch, laid out as fresh arrays would be, so the bits do not change
+        rows = scratch.take((n + 3) * count * n, complex).reshape(n + 3, count * n)
+        qc, (c, t, w) = rows[:n].reshape(-1), rows[n:]
+        for j in range(n):
+            v = g[:, :, j]
+            if j:
+                q = g[:, :, :j]
+                qcj = np.conjugate(q, out=qc[: count * n * j].reshape(count, n, j))
+                for _ in range(2):
+                    cj = np.einsum("kil,ki->kl", qcj, v, out=c[: count * j].reshape(count, j))
+                    v = np.subtract(v, np.einsum("kil,kl->ki", q, cj, out=t.reshape(count, n)), out=w.reshape(count, n))
+            norm = np.sqrt(np.einsum("ki,ki->k", v.real, v.real) + np.einsum("ki,ki->k", v.imag, v.imag))
+            np.divide(v, norm[:, None], out=g[:, :, j])
     return g
 
 
@@ -187,39 +168,17 @@ def _det(q: np.ndarray) -> np.ndarray:
     return np.linalg.det(q)
 
 
-def _haar_chunk(n: int, seed: int, start: int, count: int) -> np.ndarray:
-    """Haar samples `start .. start+count-1` on SU(N), drawn on the calling thread."""
-    z = counter_normals(seed, start, count, 2 * n * n)
-    g = (z[:, : n * n] + 1j * z[:, n * n :]).reshape(count, n, n)
+def _haar_slice(n: int, seed: int, start: int, q: np.ndarray) -> None:
+    """Fill `q`, a complex `(count, n, n)` array, with Haar samples `start ..`, on the calling thread."""
+    with lane_buffers() as scratch:
+        z = counter_normals(seed, start, len(q), 2 * n * n, out=scratch.take(len(q) * _padded_budget(2 * n * n)))
+        q.real, q.imag = z[:, : n * n].reshape(q.shape), z[:, n * n :].reshape(q.shape)
     # Q does not depend on the Ginibre scale 1/sqrt(2), so it is not applied
-    q = _orthonormalize(g)
+    _orthonormalize(q)
     q[:, :, 0] /= _det(q)[:, None]
-    return q
 
 
-def _cores() -> int:
-    """CPUs this process may run on: its affinity mask where the OS has one."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-def _pool():
-    """This process's thread pool, created on first use.
-
-    Keyed by process id: a child forked from a process that has a pool
-    inherits the pool object but not its threads, and would wait forever.
-    """
-    pool = _POOLS.get(os.getpid())
-    if pool is None:
-        from concurrent.futures import ThreadPoolExecutor
-
-        pool = _POOLS.setdefault(os.getpid(), ThreadPoolExecutor(max(_cores() - 1, 1)))
-    return pool
-
-
-def haar_batch(n: int, seed: int, start: int, count: int) -> np.ndarray:
+def haar_batch(n: int, seed: int, start: int, count: int, *, out: np.ndarray | None = None) -> np.ndarray:
     """Haar samples `start .. start+count-1` on SU(N), shape `(count, n, n)`.
 
     Sample `k` depends only on `(n, seed, k)`, so runs with different batch
@@ -228,41 +187,16 @@ def haar_batch(n: int, seed: int, start: int, count: int) -> np.ndarray:
     Ginibre matrix, by twice-applied Gram-Schmidt; its first column is then
     divided by its determinant, in closed form for N <= 3.
 
-    A batch of more than `_SLICE` samples is cut into slices of `_SLICE`
-    and filled on one lane per CPU of the process's affinity mask, at most
-    one lane per slice: the calling thread is one lane, a per-process thread
-    pool runs the others, and each lane claims the next unfilled slice until
-    none is left, so a lane whose CPU is busy elsewhere holds up at most one
-    slice.  Lanes write disjoint slices and reduce nothing, so the output is
-    the same on any number of CPUs; an exception in any lane reaches the caller.
+    The batch is filled slice by slice on the lanes of `_streams.over_slices`;
+    lanes write disjoint slices and reduce nothing, so the output is the same
+    on any number of CPUs.  `out`, a complex array of shape `(count, n, n)`,
+    receives the samples and is returned.
     """
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
-    lanes = min(_cores(), -(-count // _SLICE))
-    if lanes <= 1:
-        return _haar_chunk(n, seed, start, count)
-    out = np.empty((count, n, n), dtype=complex)
-    starts = iter(range(0, count, _SLICE))
-    claim = threading.Lock()
-
-    def lane() -> None:
-        while True:
-            with claim:
-                a = next(starts, None)
-            if a is None:
-                return
-            b = min(a + _SLICE, count)
-            out[a:b] = _haar_chunk(n, seed, start + a, b - a)
-
-    # pool lanes never submit to the pool, so nested or concurrent calls cannot deadlock
-    futures = [_pool().submit(lane) for _ in range(1, lanes)]
-    try:
-        lane()
-    finally:
-        for f in futures:
-            f.exception()  # wait, so that no lane outlives the call
-    for f in futures:
-        f.result()
+    if out is None:
+        out = np.empty((count, n, n), dtype=complex)
+    over_slices(count, lambda a, b: _haar_slice(n, seed, start + a, out[a:b]))
     return out
 
 
@@ -350,16 +284,6 @@ def adjoint_matrix(u: np.ndarray, basis: GellMannBasis) -> np.ndarray:
     """
     rotated = np.einsum("ij,ajk,lk->ail", u, basis.generators, u.conj())
     return np.einsum("ail,mli->ma", rotated, basis.generators).real / 2.0
-
-
-def adjoint_frame(p: PhasePoint, basis: GellMannBasis) -> AdjointFrame:
-    """Both Cartan adjoint vectors of an SU(3) phase point."""
-    if p.dim_n != 3:
-        raise ValidationError(f"adjoint frame is defined for N=3, got N={p.dim_n}")
-    return AdjointFrame(
-        n3=adjoint_vector(p, 3, basis),
-        n8=adjoint_vector(p, 8, basis),
-    )
 
 
 def _frame(*components) -> np.ndarray:
@@ -513,19 +437,35 @@ def _check_moment_args(n: int, indices: Sequence[int], arity: int, samples: int)
     return idx
 
 
-def _haar_average(n: int, seed: int, samples: int, f) -> tuple[np.generic, float]:
-    """Haar average of `f` over samples `0 .. samples-1`, with the standard error of its real part.
+def _merge_moments(a: tuple, b: tuple) -> tuple:
+    """Two slice partials `(count, mean, M2)` combined by the pairwise update of Chan, Golub & LeVeque (1983)."""
+    na, ma, qa = a
+    nb, mb, qb = b
+    total = na + nb
+    d = mb - ma
+    return total, ma + d * (nb / total), qa + qb + np.array([d.real**2, d.imag**2]) * (na * nb / total)
 
-    `f` maps a `(count, n, n)` batch to `count` real or complex values; all are
-    kept and reduced at the end by numpy's `mean` and `std`.
+
+def _haar_average(n: int, seed: int, samples: int, f) -> tuple[np.ndarray, np.ndarray]:
+    """Haar average of `f` over samples `0 .. samples-1`, and the standard errors of its real and imaginary parts.
+
+    `f` maps a `(count, n, n)` slice of samples to a `(count, ...)` array of
+    real or complex values.  Each lane keeps only its slices' count, mean and
+    centred sums of squares M2 of the real and imaginary parts; the calling
+    thread merges them in slice order.  Memory does not grow with `samples`,
+    and the result is the same on any number of CPUs.
     """
-    values = None
-    for start, count in batches(samples):
-        batch = f(haar_batch(n, seed, start, count))
-        if values is None:
-            values = np.empty(samples, dtype=batch.dtype)
-        values[start : start + count] = batch
-    return values.mean(), float(values.real.std() / math.sqrt(samples))
+    check_samples(samples)
+
+    def partial(a: int, b: int) -> tuple:
+        with lane_buffers() as scratch:
+            v = f(haar_batch(n, seed, a, b - a, out=scratch.take((b - a) * n * n, complex).reshape(b - a, n, n)))
+            m = v.mean(axis=0)
+            d = v - m
+        return b - a, m, np.array([np.square(d.real).sum(axis=0), np.square(d.imag).sum(axis=0)])
+
+    _, mean, m2 = reduce(_merge_moments, over_slices(samples, partial))
+    return mean, np.sqrt(m2 / samples) / math.sqrt(samples)
 
 
 def weingarten2_check(n: int, indices: Sequence[int], samples: int, seed: int) -> MomentCheck:
@@ -536,10 +476,8 @@ def weingarten2_check(n: int, indices: Sequence[int], samples: int, seed: int) -
     """
     i, j, k, l = _check_moment_args(n, indices, 4, samples)
     cf = (1.0 / n) if (i == l and j == k) else 0.0
-    mc, sigma = _haar_average(
-        n, seed, samples, lambda u: u[:, i - 1, j - 1] * u[:, l - 1, k - 1].conj()
-    )
-    return MomentCheck(mc=complex(mc), closed_form=cf, sigma=sigma)
+    mc, se = _haar_average(n, seed, samples, lambda u: u[:, i - 1, j - 1] * u[:, l - 1, k - 1].conj())
+    return MomentCheck(mc=complex(mc), closed_form=cf, sigma=float(se[0]))
 
 
 def weingarten4_check(n: int, indices: Sequence[int], samples: int, seed: int) -> MomentCheck:
@@ -556,21 +494,11 @@ def weingarten4_check(n: int, indices: Sequence[int], samples: int, seed: int) -
     U(1) phase cancels, so the U(N)-form closed expression applies verbatim
     for every N >= 2.
     """
-    i1, j1, i2, j2, k1, l1, k2, l2 = _check_moment_args(n, indices, 8, samples)
-    direct = (i1 == l1) * (i2 == l2) * (j1 == k1) * (j2 == k2) + (i1 == l2) * (i2 == l1) * (
-        j1 == k2
-    ) * (j2 == k1)
-    crossed = (i1 == l1) * (i2 == l2) * (j1 == k2) * (j2 == k1) + (i1 == l2) * (i2 == l1) * (
-        j1 == k1
-    ) * (j2 == k2)
+    i1, j1, i2, j2, k1, l1, k2, l2 = (i - 1 for i in _check_moment_args(n, indices, 8, samples))
+    direct = (i1 == l1) * (i2 == l2) * (j1 == k1) * (j2 == k2) + (i1 == l2) * (i2 == l1) * (j1 == k2) * (j2 == k1)
+    crossed = (i1 == l1) * (i2 == l2) * (j1 == k2) * (j2 == k1) + (i1 == l2) * (i2 == l1) * (j1 == k1) * (j2 == k2)
     cf = direct / (n * n - 1.0) - crossed / (n * (n * n - 1.0))
-    mc, sigma = _haar_average(
-        n,
-        seed,
-        samples,
-        lambda u: u[:, i1 - 1, j1 - 1]
-        * u[:, i2 - 1, j2 - 1]
-        * u[:, l1 - 1, k1 - 1].conj()
-        * u[:, l2 - 1, k2 - 1].conj(),
+    mc, se = _haar_average(
+        n, seed, samples, lambda u: u[:, i1, j1] * u[:, i2, j2] * u[:, l1, k1].conj() * u[:, l2, k2].conj()
     )
-    return MomentCheck(mc=complex(mc), closed_form=cf, sigma=sigma)
+    return MomentCheck(mc=complex(mc), closed_form=cf, sigma=float(se[0]))

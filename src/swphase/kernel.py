@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._streams import batches, check_seed, counter_normals
+from ._streams import _padded_budget, check_samples, check_seed, counter_normals, lane_buffers, over_slices
 from .algebra import GellMannBasis, gell_mann_basis
 from .config import TOLERANCES
 from .errors import DomainError, ValidationError
@@ -274,22 +274,26 @@ def moduli_domain_fraction(n: int, samples: int, seed: int) -> float:
     points whose induced kernel diagonal is already descending; the exact
     answer is `1/N!`.  For `n == 2` the sphere is the two-point set {-1, +1}
     with exactly one canonical point, so 1/2 is returned without sampling.
-    Deterministic and partition-independent for a given seed.
+    Hits are counted slice by slice on every lane of `_streams.over_slices`,
+    so the result is exact and the same on any number of CPUs.
     """
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
     check_seed(seed)
     if n == 2:
         return 0.5
+    check_samples(samples)
     basis = gell_mann_basis(n)
     kappa = _kernel_scale(n)
-    hits = 0
-    for start, count in batches(samples):
-        x = counter_normals(seed, start, count, n - 1)
-        mu = x / np.linalg.norm(x, axis=1, keepdims=True)
+
+    def hits(a: int, b: int) -> int:
+        with lane_buffers() as scratch:
+            x = counter_normals(seed, a, b - a, n - 1, out=scratch.take((b - a) * _padded_budget(n - 1)))
+            mu = x / np.linalg.norm(x, axis=1, keepdims=True)
         diag = (1.0 + kappa * mu @ basis.cartan_diagonals) / n
-        hits += int(np.all(np.diff(diag, axis=1) <= 0.0, axis=1).sum())
-    return hits / samples
+        return int(np.all(np.diff(diag, axis=1) <= 0.0, axis=1).sum())
+
+    return sum(over_slices(samples, hits)) / samples
 
 
 def isotropy_signature(spec: KernelSpectrum | Sequence[float]) -> tuple[tuple[int, ...], int]:

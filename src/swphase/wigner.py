@@ -19,21 +19,16 @@ from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
-from ._streams import batches, counter_normals
+from ._streams import counter_normals
 from .algebra import GellMannBasis, gell_mann_basis
 from .config import TOLERANCES
-from .errors import (
-    DomainError,
-    NumericalIntegrityError,
-    ValidationError,
-)
+from .errors import DomainError, NumericalIntegrityError, ValidationError
 from .group import (
     EulerSU2,
     EulerSU3,
     PhasePoint,
     _haar_average,
     adjoint_vector,
-    haar_batch,
     n3_closed_form,
     n8_closed_form,
     nprime_closed_form,
@@ -251,30 +246,25 @@ def reconstruct_state(
 ) -> ReconstructionResult:
     """Reconstruct a state from its Wigner function by Haar-averaged kernel weighting.
 
-    `wf_sampler` receives a `(count, n, n)` batch of special-unitary matrices
-    and returns the Wigner values of the hidden state at those points; the
-    estimator is `rho_hat = N * mean_k[ W(U_k) Delta(U_k) ]`, Hermitized by
-    symmetric averaging before being returned.  Thanks to the substream
-    contract, a run with `4 m` samples reuses the first `m` samples of the
-    run with the same seed.
+    `wf_sampler` receives a `(count, n, n)` slice of special-unitary matrices
+    (lane scratch: do not keep it) on every lane of `_haar_average`, and
+    returns the Wigner values of the hidden state there.  The estimator is
+    `rho_hat = N * mean_k[ W(U_k) Delta(U_k) ]`, Hermitized by symmetric
+    averaging before being returned, with merged per-slice error sums.  A run
+    with `4 m` samples reuses the first `m` samples of the run with the same seed.
     """
     if moduli.dim_n != n:
         raise ValidationError(f"moduli dimension {moduli.dim_n} does not match n={n}")
     diag = kernel_diagonal(moduli, gell_mann_basis(n))
-    acc = np.zeros((n, n), dtype=complex)
-    acc_sq = np.zeros((n, n))
-    for start, count in batches(samples):
-        u = haar_batch(n, seed, start, count)
-        delta = _delta_batch(u, diag)
+
+    def terms(u: np.ndarray) -> np.ndarray:
         w = np.asarray(wf_sampler(u), dtype=float)
-        if w.shape != (count,):
-            raise ValidationError(f"wf_sampler returned shape {w.shape}, expected ({count},)")
-        term = n * w[:, None, None] * delta
-        acc += term.sum(axis=0)
-        acc_sq += (term.real**2 + term.imag**2).sum(axis=0)
-    mean = acc / samples
-    variance = acc_sq / samples - (mean.real**2 + mean.imag**2)
-    estimate = math.sqrt(float(variance.sum()) / samples)
+        if w.shape != (len(u),):
+            raise ValidationError(f"wf_sampler returned shape {w.shape}, expected ({len(u)},)")
+        return n * w[:, None, None] * _delta_batch(u, diag)
+
+    mean, se = _haar_average(n, seed, samples, terms)
+    estimate = math.sqrt(float(np.square(se).sum()))
     residue = float(np.linalg.norm((mean - mean.conj().T) / 2.0))
     rho_hat = (mean + mean.conj().T) / 2.0
     rho_hat.setflags(write=False)
@@ -313,8 +303,8 @@ def check_norm(state: DensityState, moduli: ModuliPoint, samples: int, seed: int
     """Monte Carlo check of the norm postulate: the Haar average of `N W` equals `tr(rho) = 1`."""
     n = state.dim_n
     diag = kernel_diagonal(moduli, gell_mann_basis(n))
-    mc, sigma = _haar_average(n, seed, samples, lambda u: n * _symbol_batch(_delta_batch(u, diag), state.rho))
-    return NormCheckResult(mc=float(mc), sigma=sigma)
+    mc, se = _haar_average(n, seed, samples, lambda u: n * _symbol_batch(_delta_batch(u, diag), state.rho))
+    return NormCheckResult(mc=float(mc), sigma=float(se[0]))
 
 
 def check_standardisation(
@@ -324,8 +314,8 @@ def check_standardisation(
     a = _validated_hermitian(a, "A")
     n = a.shape[0]
     diag = kernel_diagonal(moduli, gell_mann_basis(n))
-    mc, sigma = _haar_average(n, seed, samples, lambda u: n * _symbol_batch(_delta_batch(u, diag), a))
-    return CheckResult(mc=float(mc), target=float(np.trace(a).real), sigma=sigma)
+    mc, se = _haar_average(n, seed, samples, lambda u: n * _symbol_batch(_delta_batch(u, diag), a))
+    return CheckResult(mc=float(mc), target=float(np.trace(a).real), sigma=float(se[0]))
 
 
 def check_traciality(
@@ -347,8 +337,8 @@ def check_traciality(
         delta = _delta_batch(u, diag)
         return n * _symbol_batch(delta, a) * _symbol_batch(delta, b)
 
-    mc, sigma = _haar_average(n, seed, samples, products)
-    return CheckResult(mc=float(mc), target=float(np.trace(a @ b).real), sigma=sigma)
+    mc, se = _haar_average(n, seed, samples, products)
+    return CheckResult(mc=float(mc), target=float(np.trace(a @ b).real), sigma=float(se[0]))
 
 
 def check_covariance(

@@ -5,6 +5,8 @@ matrix-exponential and trace-definition oracles built independently here.
 """
 import math
 import multiprocessing
+import os
+import subprocess
 import sys
 import threading
 import warnings
@@ -16,19 +18,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swphase import (
-    SU3_VOLUME,
     DomainError,
     EulerSU2,
     EulerSU3,
     PhasePoint,
     ValidationError,
     ad_t_matrix,
-    adjoint_frame,
     adjoint_matrix,
     adjoint_vector,
     gell_mann_basis,
     haar_batch,
     haar_sample,
+    moduli_domain_fraction,
     n3_closed_form,
     n8_closed_form,
     nprime_closed_form,
@@ -38,7 +39,7 @@ from swphase import (
     weingarten2_check,
     weingarten4_check,
 )
-from swphase import group
+from swphase import _streams, group
 from swphase._streams import counter_normals
 from swphase.group import _orthonormalize
 
@@ -122,24 +123,24 @@ def test_haar_batch_lanes_match_single_slices(monkeypatch):
             singles = np.vstack([haar_batch(n, 9, a, min(slice_, stop - a)) for a in range(start, stop, slice_)])
             assert np.array_equal(haar_batch(n, 9, start, count), singles), (n, count)
             with monkeypatch.context() as m:
-                m.setattr(group, "_cores", lambda: 3)
+                m.setattr(_streams, "_cores", lambda: 3)
                 assert np.array_equal(haar_batch(n, 9, start, count), singles), (n, count, 3)
 
 
 def test_haar_batch_lane_error_reaches_caller(monkeypatch):
     # two slices: the calling thread holds its slice until a pool lane has failed on the other
-    chunk = group._haar_chunk
+    fill = group._haar_slice
     pool_failed = threading.Event()
 
-    def failing(n, seed, start, count):
+    def failing(n, seed, start, q):
         if threading.current_thread() is not threading.main_thread():
             pool_failed.set()
             raise DomainError("failure in a pool lane")
         pool_failed.wait(timeout=30)
-        return chunk(n, seed, start, count)
+        fill(n, seed, start, q)
 
-    monkeypatch.setattr(group, "_haar_chunk", failing)
-    monkeypatch.setattr(group, "_cores", lambda: 2)
+    monkeypatch.setattr(group, "_haar_slice", failing)
+    monkeypatch.setattr(_streams, "_cores", lambda: 2)
     with pytest.raises(DomainError, match="pool lane"):
         haar_batch(3, 9, 0, (1 << 11) + 1)
     assert pool_failed.is_set()
@@ -154,7 +155,7 @@ def test_forked_child_draws_with_its_own_pool(monkeypatch):
     # the child inherits the parent's pool object but none of its threads
     if "fork" not in multiprocessing.get_all_start_methods():
         pytest.skip("no fork start method")
-    monkeypatch.setattr(group, "_cores", lambda: 2)
+    monkeypatch.setattr(_streams, "_cores", lambda: 2)
     expected = haar_batch(3, 1, 0, 20_000)
     child = multiprocessing.get_context("fork").Process(target=_draw_matches, args=(expected,))
     child.start()
@@ -164,6 +165,54 @@ def test_forked_child_draws_with_its_own_pool(monkeypatch):
         child.join()
         pytest.fail("forked child hung in haar_batch")
     assert child.exitcode == 0
+
+
+def test_haar_batch_returns_no_lane_buffer():
+    # the lanes draw into scratch they reuse; a returned batch must be the caller's own
+    first = haar_batch(3, 1, 0, 100)
+    kept = first.copy()
+    haar_batch(3, 2, 0, 100)
+    weingarten2_check(3, (1, 1, 1, 1), 10_000, 3)
+    assert np.array_equal(first, kept)
+    out = np.empty((100, 3, 6), dtype=complex)[:, :, ::2]  # any layout
+    assert haar_batch(3, 1, 0, 100, out=out) is out and np.array_equal(out, kept)
+
+
+def test_counter_normals_leave_no_large_scratch(monkeypatch):
+    # on a fresh thread with one lane: a large direct draw allocates its own
+    # array, and the engine's scratch never holds more than one slice
+    monkeypatch.setattr(_streams, "_cores", lambda: 1)
+    sizes = []
+
+    def run():
+        counter_normals(0, 0, 10**5, 8)
+        moduli_domain_fraction(9, 10**5, 0)  # 8 normals per sample, as above
+        sizes.extend(a.size for s in _streams._LANE.free for a in s.values())
+
+    worker = threading.Thread(target=run)
+    worker.start()
+    worker.join(timeout=30)
+    assert sizes and max(sizes) <= _streams._SLICE * 8
+
+
+def _peak_rss_mib(samples: int) -> float:
+    code = (
+        "import resource, sys\n"
+        "from swphase import weingarten4_check\n"
+        "weingarten4_check(3, (1,) * 8, int(sys.argv[1]), 1)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    result = subprocess.run(
+        [sys.executable, "-c", code, str(samples)], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert result.returncode == 0, result.stderr
+    return int(result.stdout) / 1024.0
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux only")
+def test_moment_memory_does_not_grow_with_samples():
+    assert _peak_rss_mib(1 << 21) <= 1.10 * _peak_rss_mib(1 << 16)
 
 
 @pytest.mark.parametrize("n", range(2, 10))
@@ -205,10 +254,6 @@ def test_phase_point_validates_unitarity():
 
 # --------------------------------------------------------------------------
 # Euler charts
-
-
-def test_su3_volume_constant():
-    assert SU3_VOLUME == pytest.approx(math.sqrt(3.0) * math.pi**5)
 
 
 @settings(max_examples=30, deadline=None)
@@ -269,11 +314,11 @@ def test_adjoint_matrix_orthogonal_and_composes():
 def test_adjoint_vector_is_matrix_column():
     p = haar_sample(3, seed=33)
     m = adjoint_matrix(p.u, B3)
-    np.testing.assert_allclose(adjoint_vector(p, 3, B3), m[:, 2], atol=1e-13)
-    np.testing.assert_allclose(adjoint_vector(p, 8, B3), m[:, 7], atol=1e-13)
-    frame = adjoint_frame(p, B3)
-    np.testing.assert_allclose(frame.n3, m[:, 2], atol=1e-13)
-    np.testing.assert_allclose(frame.n8, m[:, 7], atol=1e-13)
+    n3, n8 = adjoint_vector(p, 3, B3), adjoint_vector(p, 8, B3)
+    np.testing.assert_allclose(n3, m[:, 2], atol=1e-13)
+    np.testing.assert_allclose(n8, m[:, 7], atol=1e-13)
+    # the two Cartan directions stay an orthonormal pair at every phase point
+    np.testing.assert_allclose(np.stack([n3, n8]) @ np.stack([n3, n8]).T, np.eye(2), atol=1e-13)
 
 
 def test_adjoint_vector_rejects_non_cartan_label():
@@ -424,6 +469,16 @@ def test_weingarten_index_validation():
     plain = weingarten2_check(3, (2, 1, 1, 2), samples=10_000, seed=1)
     for two in (2.0, np.int64(2), np.float64(2.0)):
         assert weingarten2_check(3, (two, 1, 1, 2), samples=10_000, seed=1) == plain
+
+
+def test_moments_same_on_any_cpu_count(monkeypatch):
+    # slice partials merge in slice order, so the lane count cannot move a bit
+    results = []
+    for cores in (1, 3):
+        monkeypatch.setattr(_streams, "_cores", lambda: cores)
+        results.append(weingarten4_check(3, (1, 2, 2, 1, 1, 2, 2, 1), 20_001, 12))
+        results.append(weingarten2_check(4, (1, 2, 2, 1), 5 * 2048 + 7, 4))
+    assert results[:2] == results[2:]
 
 
 def test_weingarten_deterministic():

@@ -28,6 +28,9 @@ from swphase import (
     zeta_from_nu,
 )
 
+from swphase import _streams
+from swphase._streams import counter_normals
+
 SQ3 = math.sqrt(3.0)
 
 
@@ -164,6 +167,18 @@ def test_domain_fraction_qutrit():
     assert fraction == moduli_domain_fraction(3, 200_000, seed=1)
     sigma = math.sqrt((1 / 6) * (5 / 6) / 200_000)
     assert abs(fraction - 1 / 6) < 5 * sigma
+
+
+def test_domain_fraction_counts_every_sample_once(monkeypatch):
+    # slices aligned to sample 0, on any number of lanes, count exactly the plain-loop hits
+    samples = 5 * 2048 + 17
+    x = counter_normals(3, 0, samples, 3)
+    mu = x / np.linalg.norm(x, axis=1, keepdims=True)
+    diag = (1.0 + math.sqrt(4 * 15 / 2.0) * mu @ gell_mann_basis(4).cartan_diagonals) / 4
+    expected = np.all(np.diff(diag, axis=1) <= 0.0, axis=1).sum() / samples
+    for cores in (1, 3):
+        monkeypatch.setattr(_streams, "_cores", lambda: cores)
+        assert moduli_domain_fraction(4, samples, seed=3) == expected
 
 
 def test_domain_fraction_guards():

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swphase import DomainError
-from swphase._streams import batches, counter_normals, counter_uniforms
+from swphase import DomainError, _streams
+from swphase._streams import check_samples, counter_normals, counter_uniforms, over_slices
 
 
 def test_uniforms_open_interval():
@@ -65,10 +65,35 @@ def test_seed_range():
             counter_uniforms(seed, 0, 1, 1)
 
 
-def test_batches_cover_samples_once():
-    spans = list(batches(150_000))
-    assert spans == [(0, 65_536), (65_536, 65_536), (131_072, 18_928)]
-    assert list(batches(1000)) == [(0, 1000)]
-    # the sample floor is checked when batches is called, before any loop starts
+def test_sample_floor():
+    # every Monte Carlo estimate checks the floor before any slice is drawn
+    check_samples(1000)
     with pytest.raises(DomainError, match="at least 1000"):
-        batches(999)
+        check_samples(999)
+
+
+@pytest.mark.parametrize("width", [1, 5, 8, 18])
+def test_out_buffer_matches_fresh_draw(width):
+    # the words land in the caller's buffer, and the result is its (count, width) view
+    buf = np.full(40 * 20, np.nan)
+    u = counter_uniforms(5, 123, 40, width, out=buf)
+    assert np.shares_memory(u, buf) and u.shape == (40, width)
+    assert np.array_equal(u, counter_uniforms(5, 123, 40, width))
+    z = counter_normals(5, 123, 40, width, out=buf)
+    assert np.shares_memory(z, buf)
+    assert np.array_equal(z, counter_normals(5, 123, 40, width))
+
+
+def test_uniforms_match_word_formula():
+    # (top 53 bits + 1/2) * 2**-53 of the raw Philox words, the stream's definition
+    raw = np.random.Philox(key=9, counter=3 * 2).random_raw(3 * 8).reshape(3, 8)[:, :6]
+    expected = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    assert np.array_equal(counter_uniforms(9, 3, 3, 6), expected)
+
+
+def test_over_slices_in_slice_order(monkeypatch):
+    for cores in (1, 3):
+        monkeypatch.setattr(_streams, "_cores", lambda: cores)
+        bounds = over_slices(3 * _streams._SLICE + 5, lambda a, b: (a, b))
+        assert bounds == [(0, 2048), (2048, 4096), (4096, 6144), (6144, 6149)]
+    assert over_slices(0, lambda a, b: 1 / 0) == []

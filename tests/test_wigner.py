@@ -1,5 +1,9 @@
 """Wigner values, closed forms vs trace forms, reconstruction, and postulate checks."""
 import math
+import os
+import subprocess
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -17,6 +21,7 @@ from swphase import (
     check_standardisation,
     check_traciality,
     gell_mann_basis,
+    haar_batch,
     haar_sample,
     kernel_diagonal,
     moduli_point,
@@ -33,6 +38,8 @@ from swphase import (
     wigner_closed_form,
     wigner_value,
 )
+from swphase import _streams
+from swphase.wigner import _delta_batch, _symbol_batch
 from conftest import ball_vector
 
 B2 = gell_mann_basis(2)
@@ -192,6 +199,64 @@ def test_reconstruction_guards():
         reconstruct_state(lambda u: np.zeros(3), 2, MU2, 2_000, seed=0)
 
 
+def test_engine_results_same_on_any_cpu_count(monkeypatch):
+    p = qutrit_mu(-0.5)
+    state = rho_from_bloch(3, np.full(8, 0.1))
+    a, b = seeded_hermitian(3, 41), seeded_hermitian(3, 42)
+    results = []
+    for cores in (1, 3):
+        monkeypatch.setattr(_streams, "_cores", lambda: cores)
+        r = reconstruct_state(state_wf_sampler(state, p), 3, p, 20_001, seed=5)
+        results.append((r.rho_hat.tobytes(), r.frobenius_error_estimate, r.antihermitian_residue))
+        results.append(check_traciality(a, b, p, 20_001, seed=6))
+    assert results[:2] == results[2:]
+
+
+def test_sampler_error_in_pool_lane_reaches_caller(monkeypatch):
+    # two slices: the calling thread holds its slice until a pool lane has failed on the other
+    monkeypatch.setattr(_streams, "_cores", lambda: 2)
+    pool_failed = threading.Event()
+
+    def sampler(u):
+        if threading.current_thread() is not threading.main_thread():
+            pool_failed.set()
+            return np.zeros(3)
+        pool_failed.wait(timeout=30)
+        return np.zeros(len(u))
+
+    with pytest.raises(ValidationError, match="wf_sampler returned shape"):
+        reconstruct_state(sampler, 2, MU2, 2 * 2048, seed=0)
+    assert pool_failed.is_set()
+
+
+_NESTED = """
+import sys
+import numpy as np
+from swphase import _streams, qutrit_mu, reconstruct_state, rho_from_bloch, state_wf_sampler, haar_batch, weingarten2_check
+_streams._cores = lambda: 3  # pool lanes even on a small host
+p = qutrit_mu(-0.5)
+plain = state_wf_sampler(rho_from_bloch(3, np.full(8, 0.1)), p)
+inner = {"haar": lambda: haar_batch(3, 1, 0, 3 * 2048 + 5), "moment": lambda: weingarten2_check(3, (1, 1, 1, 1), 10000, 2)}
+
+def nested(u):
+    inner[sys.argv[1]]()
+    return plain(u)
+
+a = reconstruct_state(plain, 3, p, 5 * 2048 + 3, seed=4)
+b = reconstruct_state(nested, 3, p, 5 * 2048 + 3, seed=4)
+sys.exit(0 if np.array_equal(a.rho_hat, b.rho_hat) and a[1:] == b[1:] else 1)
+"""
+
+
+@pytest.mark.parametrize("inner", ["haar", "moment"])
+def test_nested_monte_carlo_in_sampler(inner):
+    # a Monte Carlo call inside a lane runs on that lane: no deadlock, and its
+    # scratch is not the slice the outer call is still reading
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    result = subprocess.run([sys.executable, "-c", _NESTED, inner], env=env, capture_output=True, timeout=30)
+    assert result.returncode == 0, result.stderr
+
+
 def test_sampler_matches_pointwise_values():
     state = rho_from_bloch(3, np.full(8, -0.1))
     p = qutrit_mu(-0.8)
@@ -210,6 +275,27 @@ def test_norm_check_trivial_on_mixed_state():
     result = check_norm(rho_from_bloch(2, np.zeros(3)), MU2, 2_000, seed=0)
     assert result.mc == pytest.approx(1.0, abs=1e-13)
     assert result.sigma < 1e-13
+
+
+@pytest.mark.parametrize("moduli", [qutrit_mu(-0.5), moduli_point(4, [0.6, 0.0, 0.8])])
+def test_norm_check_exact_on_maximally_mixed_state(moduli):
+    # N W is 1 at every sample: the merged variance must stay at round-off
+    n = moduli.dim_n
+    result = check_norm(rho_from_bloch(n, np.zeros(n * n - 1)), moduli, 20_001, seed=0)
+    assert abs(result.mc - 1.0) <= 1e-15
+    assert result.sigma <= 1e-15
+
+
+def test_norm_sigma_matches_two_pass_std():
+    # Bloch entries of 1e-9: the spread is tiny next to the mean, where a
+    # one-pass sum of squares loses it
+    p = qutrit_mu(-0.5)
+    state = rho_from_bloch(3, np.full(8, 1e-9))
+    samples = 20_001
+    result = check_norm(state, p, samples, seed=1)
+    u = haar_batch(3, 1, 0, samples)
+    values = 3 * _symbol_batch(_delta_batch(u, kernel_diagonal(p, B3)), state.rho)
+    assert result.sigma == pytest.approx(values.std() / math.sqrt(samples), rel=1e-6)
 
 
 def test_norm_check_statistical():
