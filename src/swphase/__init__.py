@@ -1,157 +1,16 @@
-"""Stratonovich-Weyl kernels, Wigner functions, and postulate verification for N-level systems."""
-from __future__ import annotations
+"""Stratonovich-Weyl kernels, Wigner functions, and postulate verification for N-level systems.
 
-from .algebra import (
-    GellMannBasis,
-    SymmetricStructureTensor,
-    expand_in_basis,
-    gell_mann_basis,
-    symmetric_structure_constants,
-)
-from .config import TOLERANCES, Tolerances
-from .errors import (
-    DomainError,
-    InvalidStateError,
-    NumericalIntegrityError,
-    SWPhaseError,
-    ValidationError,
-)
-from .group import (
-    EulerSU2,
-    EulerSU3,
-    MomentCheck,
-    PhasePoint,
-    ad_t_matrix,
-    adjoint_matrix,
-    adjoint_vector,
-    haar_batch,
-    haar_sample,
-    n3_closed_form,
-    n8_closed_form,
-    nprime_closed_form,
-    nprime_rotation,
-    su2_coset,
-    su3_from_euler,
-    weingarten2_check,
-    weingarten4_check,
-)
-from .kernel import (
-    QUTRIT_NU_MAX,
-    QUTRIT_NU_MIN,
-    KernelMatrix,
-    KernelSpectrum,
-    ModuliPoint,
-    assemble_kernel,
-    isotropy_signature,
-    kernel_diagonal,
-    moduli_canonicalize,
-    moduli_domain_fraction,
-    moduli_point,
-    nu_from_zeta,
-    qutrit_det_invariant,
-    qutrit_mu,
-    qutrit_spectrum,
-    spectrum_from_moduli,
-    verify_master,
-    zeta_from_nu,
-)
-from .states import (
-    DensityState,
-    bloch_from_rho,
-    bloch_scale,
-    qutrit_bloch_constraints,
-    rho_from_bloch,
-    state_as_dict,
-    state_from_dict,
-)
-from .wigner import (
-    CheckResult,
-    NormCheckResult,
-    ReconstructionResult,
-    check_covariance,
-    check_norm,
-    check_standardisation,
-    check_traciality,
-    qubit_wf,
-    qutrit_wf,
-    qutrit_wf_adapted,
-    reconstruct_state,
-    seeded_hermitian,
-    state_wf_sampler,
-    wigner_closed_form,
-    wigner_value,
-)
+The public names are those of each module's `__all__`, re-exported here.
+"""
+from . import algebra, config, errors, group, kernel, states, wigner
+from .algebra import *  # noqa: F403
+from .config import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .group import *  # noqa: F403
+from .kernel import *  # noqa: F403
+from .states import *  # noqa: F403
+from .wigner import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "TOLERANCES",
-    "Tolerances",
-    "SWPhaseError",
-    "DomainError",
-    "ValidationError",
-    "InvalidStateError",
-    "NumericalIntegrityError",
-    "GellMannBasis",
-    "SymmetricStructureTensor",
-    "gell_mann_basis",
-    "symmetric_structure_constants",
-    "expand_in_basis",
-    "DensityState",
-    "bloch_scale",
-    "rho_from_bloch",
-    "bloch_from_rho",
-    "qutrit_bloch_constraints",
-    "state_as_dict",
-    "state_from_dict",
-    "ModuliPoint",
-    "KernelSpectrum",
-    "KernelMatrix",
-    "QUTRIT_NU_MIN",
-    "QUTRIT_NU_MAX",
-    "moduli_point",
-    "spectrum_from_moduli",
-    "verify_master",
-    "qutrit_spectrum",
-    "qutrit_mu",
-    "nu_from_zeta",
-    "zeta_from_nu",
-    "qutrit_det_invariant",
-    "moduli_canonicalize",
-    "moduli_domain_fraction",
-    "isotropy_signature",
-    "assemble_kernel",
-    "kernel_diagonal",
-    "PhasePoint",
-    "EulerSU3",
-    "EulerSU2",
-    "MomentCheck",
-    "haar_sample",
-    "haar_batch",
-    "su3_from_euler",
-    "su2_coset",
-    "adjoint_vector",
-    "adjoint_matrix",
-    "n3_closed_form",
-    "n8_closed_form",
-    "nprime_closed_form",
-    "ad_t_matrix",
-    "nprime_rotation",
-    "weingarten2_check",
-    "weingarten4_check",
-    "wigner_value",
-    "wigner_closed_form",
-    "qubit_wf",
-    "qutrit_wf",
-    "qutrit_wf_adapted",
-    "reconstruct_state",
-    "state_wf_sampler",
-    "ReconstructionResult",
-    "check_standardisation",
-    "check_traciality",
-    "check_covariance",
-    "check_norm",
-    "CheckResult",
-    "NormCheckResult",
-    "seeded_hermitian",
-]
+__all__ = [name for module in (config, errors, algebra, states, kernel, group, wigner) for name in module.__all__]

@@ -110,6 +110,25 @@ def symmetric_structure_constants(basis: GellMannBasis) -> SymmetricStructureTen
     return SymmetricStructureTensor(dim_n=basis.dim_n, d=d)
 
 
+def _hermitian(m, name: str, n: int | None = None) -> np.ndarray:
+    """`m` as a complex array, after checking it is a finite Hermitian square matrix (N x N when `n` is given).
+
+    The one Hermitian check of the package: raises `ValidationError` naming
+    `name` on a wrong shape, a non-finite entry or an anti-Hermitian part
+    above the algebraic tolerance.
+    """
+    m = np.asarray(m, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or (n is not None and m.shape[0] != n):
+        want = "square" if n is None else f"{n}x{n}"
+        raise ValidationError(f"{name} must be a {want} matrix, got shape {m.shape}")
+    # checked first, so that a NaN or inf entry is reported as such, not as an anti-Hermitian part
+    if not np.all(np.isfinite(m)):
+        raise ValidationError(f"{name} has non-finite entries")
+    if not np.all(np.abs(m - m.conj().T) <= TOLERANCES.algebraic):
+        raise ValidationError(f"{name} is not Hermitian within tolerance")
+    return m
+
+
 def expand_in_basis(m: np.ndarray, basis: GellMannBasis) -> tuple[np.ndarray, float]:
     """Expand a Hermitian matrix as `(tr(m)/N) I + sum_a c_a g_a`.
 
@@ -117,15 +136,8 @@ def expand_in_basis(m: np.ndarray, basis: GellMannBasis) -> tuple[np.ndarray, fl
     `trace_part = tr(m) / N`.  Raises `ValidationError` if `m` is not
     finite, not Hermitian within the algebraic tolerance or has the wrong shape.
     """
-    m = np.asarray(m, dtype=complex)
     n = basis.dim_n
-    if m.shape != (n, n):
-        raise ValidationError(f"expected a {n}x{n} matrix, got shape {m.shape}")
-    # NaN compares false with the tolerance below, so it would pass as Hermitian
-    if not np.all(np.isfinite(m)):
-        raise ValidationError("matrix has non-finite entries")
-    if np.max(np.abs(m - m.conj().T)) > TOLERANCES.algebraic:
-        raise ValidationError("matrix is not Hermitian within tolerance")
+    m = _hermitian(m, "matrix", n)
     coeffs = np.einsum("ij,aji->a", m, basis.generators).real / 2.0
     coeffs.setflags(write=False)
     return coeffs, np.trace(m).real / n

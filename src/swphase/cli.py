@@ -165,8 +165,11 @@ def _resolve_state(args) -> DensityState:
         raise ValidationError("pass exactly one of --state and --state-file")
     if inline is not None:
         return rho_from_bloch(args.n, np.asarray(_parse_floats(inline)))
-    with open(path) as fh:
-        payload = json.load(fh)
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+    except ValueError as exc:  # malformed JSON, or bytes that are not text
+        raise ValidationError(f"cannot read state file {path!r}: {exc}") from exc
     state = state_from_dict(payload)
     if state.dim_n != args.n:
         raise ValidationError(f"state file has n={state.dim_n}, command uses --n {args.n}")
@@ -250,10 +253,11 @@ def _record(check: str, n: int, moduli, samples: int, seed: int, mc: float, targ
 
 
 def _fraction_record(n: int, moduli, samples: int, seed: int) -> dict:
+    mc = moduli_domain_fraction(n, samples, seed)  # checks samples and seed before sigma divides by samples
     target = 1.0 / math.factorial(n)
     # N=2 is exact (no sampling), so sigma 0 sends it to the algebraic tolerance
     sigma = math.sqrt(target * (1.0 - target) / samples) if n > 2 else 0.0
-    return _record("moduli_fraction", n, moduli, samples, seed, moduli_domain_fraction(n, samples, seed), target, sigma)
+    return _record("moduli_fraction", n, moduli, samples, seed, mc, target, sigma)
 
 
 def cmd_moduli_sample(args) -> int:

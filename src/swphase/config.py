@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+__all__ = ["TOLERANCES", "Tolerances"]
+
 
 @dataclass(frozen=True)
 class Tolerances:
@@ -20,14 +22,11 @@ class Tolerances:
                        assembled kernels).
     degeneracy_gap  -- absolute gap below which two kernel eigenvalues are
                        treated as equal when grouping multiplicities.
-    entrywise       -- entry checks on exactly-representable constructions
-                       (generator entries, hard-coded constant matrices).
     """
 
     algebraic: float = 1e-12
     spectral: float = 1e-10
     degeneracy_gap: float = 1e-9
-    entrywise: float = 1e-14
 
 
 TOLERANCES = Tolerances()

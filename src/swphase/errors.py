@@ -1,6 +1,8 @@
 """Exception hierarchy shared by all swphase modules."""
 from __future__ import annotations
 
+__all__ = ["SWPhaseError", "DomainError", "ValidationError", "InvalidStateError", "NumericalIntegrityError"]
+
 
 class SWPhaseError(Exception):
     """Base class for every error raised by this package."""

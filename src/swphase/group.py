@@ -22,7 +22,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from ._streams import _padded_budget, check_samples, counter_normals, lane_buffers, over_slices
-from .algebra import GellMannBasis, gell_mann_basis
+from .algebra import GellMannBasis, expand_in_basis, gell_mann_basis
 from .config import TOLERANCES
 from .errors import DomainError, ValidationError
 
@@ -101,6 +101,23 @@ class EulerSU2:
             warnings.warn("qubit chart angles outside [0, 2pi] x [0, pi]", stacklevel=3)
 
 
+def _unitary(u, n: int, name: str) -> np.ndarray:
+    """`u` as a complex array, after checking it is a finite N x N unitary matrix.
+
+    The one unitarity check of the package: raises `ValidationError` naming
+    `name` on a wrong shape, a non-finite entry or a departure from
+    `U^dag U = I` above the spectral tolerance.
+    """
+    u = np.asarray(u, dtype=complex)
+    if u.shape != (n, n):
+        raise ValidationError(f"{name} must be a {n}x{n} matrix, got shape {u.shape}")
+    if not np.all(np.isfinite(u)):
+        raise ValidationError(f"{name} has non-finite entries")
+    if np.max(np.abs(u.conj().T @ u - np.eye(n))) > TOLERANCES.spectral:
+        raise ValidationError(f"{name} is not unitary within tolerance")
+    return u
+
+
 @dataclass(frozen=True)
 class PhasePoint:
     """A phase-space point: a special-unitary matrix, optionally with its Euler chart."""
@@ -110,14 +127,7 @@ class PhasePoint:
     chart: EulerSU3 | EulerSU2 | None = None
 
     def __post_init__(self):
-        u = np.asarray(self.u, dtype=complex)
-        n = self.dim_n
-        if u.shape != (n, n):
-            raise ValidationError(f"expected a {n}x{n} matrix, got shape {u.shape}")
-        if not np.all(np.isfinite(u)):
-            raise ValidationError("phase-space matrix has non-finite entries")
-        if np.max(np.abs(u.conj().T @ u - np.eye(n))) > TOLERANCES.spectral:
-            raise ValidationError("phase-space matrix is not unitary within tolerance")
+        u = _unitary(self.u, self.dim_n, "phase-space matrix")
         if abs(np.linalg.det(u) - 1.0) > TOLERANCES.spectral:
             raise ValidationError("phase-space matrix determinant differs from 1 beyond tolerance")
         u = u.copy()
@@ -194,6 +204,8 @@ def haar_batch(n: int, seed: int, start: int, count: int, *, out: np.ndarray | N
     """
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
+    if start < 0 or count < 0:
+        raise DomainError(f"need start >= 0 and count >= 0, got start={start} count={count}")
     if out is None:
         out = np.empty((count, n, n), dtype=complex)
     over_slices(count, lambda a, b: _haar_slice(n, seed, start + a, out[a:b]))
@@ -270,10 +282,7 @@ def adjoint_vector(p: PhasePoint, cartan_index: int, basis: GellMannBasis) -> np
     if cartan_index not in basis.cartan_indices:
         raise DomainError(f"label {cartan_index} is not a Cartan label {basis.cartan_indices}")
     u = p.u
-    rotated = u @ basis.generator(cartan_index) @ u.conj().T
-    vec = np.einsum("ij,aji->a", rotated, basis.generators).real / 2.0
-    vec.setflags(write=False)
-    return vec
+    return expand_in_basis(u @ basis.generator(cartan_index) @ u.conj().T, basis)[0]
 
 
 def adjoint_matrix(u: np.ndarray, basis: GellMannBasis) -> np.ndarray:

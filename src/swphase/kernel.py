@@ -33,6 +33,7 @@ from ._streams import _padded_budget, check_samples, check_seed, counter_normals
 from .algebra import GellMannBasis, gell_mann_basis
 from .config import TOLERANCES
 from .errors import DomainError, ValidationError
+from .group import PhasePoint
 
 __all__ = [
     "ModuliPoint",
@@ -52,6 +53,7 @@ __all__ = [
     "moduli_domain_fraction",
     "isotropy_signature",
     "assemble_kernel",
+    "kernel_diagonal",
 ]
 
 QUTRIT_NU_MIN = -1.0
@@ -63,11 +65,27 @@ class ModuliPoint:
     """A unit vector `mu` of Cartan coefficients selecting one kernel family member.
 
     Component `mu[s - 2]` multiplies the Cartan generator with label
-    `s**2 - 1`, for `s = 2..N`.
+    `s**2 - 1`, for `s = 2..N`.  Construction checks N >= 2, length N-1,
+    finite entries and unit norm, and keeps a read-only copy of `mu`.
     """
 
     dim_n: int
     mu: np.ndarray
+
+    def __post_init__(self):
+        n = self.dim_n
+        if n < 2:
+            raise DomainError(f"kernel families need N >= 2, got N={n}")
+        vec = np.array(self.mu, dtype=float)
+        if vec.shape != (n - 1,):
+            raise ValidationError(f"moduli vector for N={n} must have length {n - 1}, got shape {vec.shape}")
+        if not np.all(np.isfinite(vec)):
+            raise ValidationError(f"moduli vector must be finite, got {vec.tolist()}")
+        norm = float(vec @ vec)
+        if abs(norm - 1.0) > TOLERANCES.algebraic:
+            raise ValidationError(f"moduli vector must be unit length, got |mu|^2 = {norm!r}")
+        vec.setflags(write=False)
+        object.__setattr__(self, "mu", vec)
 
 
 @dataclass(frozen=True)
@@ -101,19 +119,7 @@ class KernelMatrix:
 
 def moduli_point(n: int, mu: Sequence[float]) -> ModuliPoint:
     """Validate and wrap a moduli vector: length N-1 and unit norm required."""
-    if n < 2:
-        raise DomainError(f"kernel families need N >= 2, got N={n}")
-    vec = np.asarray(mu, dtype=float)
-    if vec.shape != (n - 1,):
-        raise ValidationError(f"moduli vector for N={n} must have length {n - 1}, got shape {vec.shape}")
-    if not np.all(np.isfinite(vec)):
-        raise ValidationError(f"moduli vector must be finite, got {vec.tolist()}")
-    norm = float(vec @ vec)
-    if abs(norm - 1.0) > TOLERANCES.algebraic:
-        raise ValidationError(f"moduli vector must be unit length, got |mu|^2 = {norm!r}")
-    vec = vec.copy()
-    vec.setflags(write=False)
-    return ModuliPoint(dim_n=n, mu=vec)
+    return ModuliPoint(dim_n=n, mu=mu)
 
 
 def _group_eigenvalues(eigs: np.ndarray) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -146,6 +152,8 @@ def _kernel_scale(n: int) -> float:
 
 def kernel_diagonal(p: ModuliPoint, basis: GellMannBasis) -> np.ndarray:
     """The unsorted diagonal of `P(mu)`; entries in the natural basis order."""
+    if basis.dim_n != p.dim_n:
+        raise ValidationError(f"basis dimension {basis.dim_n} does not match moduli dimension {p.dim_n}")
     return (1.0 + _kernel_scale(p.dim_n) * p.mu @ basis.cartan_diagonals) / p.dim_n
 
 
@@ -155,8 +163,6 @@ def spectrum_from_moduli(p: ModuliPoint, basis: GellMannBasis) -> KernelSpectrum
     Any unit `mu` satisfies both master equations identically, so the result
     always passes `verify_master` at round-off level.
     """
-    if basis.dim_n != p.dim_n:
-        raise ValidationError(f"basis dimension {basis.dim_n} does not match moduli dimension {p.dim_n}")
     return _spectrum(kernel_diagonal(p, basis))
 
 
@@ -215,7 +221,6 @@ def qutrit_mu(nu: float) -> ModuliPoint:
     mu8 = (1.0 - 3.0 * nu) / 4.0
     vec = np.array([mu3, mu8])
     vec /= math.sqrt(float(vec @ vec))  # remove round-off drift from the exact unit norm
-    vec.setflags(write=False)
     return ModuliPoint(dim_n=3, mu=vec)
 
 
@@ -252,8 +257,6 @@ def moduli_canonicalize(p: ModuliPoint, basis: GellMannBasis) -> tuple[ModuliPoi
     sorting permutation (`permutation[i]` is the original position of entry
     `i`).  Idempotent, and the unordered spectrum is unchanged.
     """
-    if basis.dim_n != p.dim_n:
-        raise ValidationError(f"basis dimension {basis.dim_n} does not match moduli dimension {p.dim_n}")
     n = p.dim_n
     diag = kernel_diagonal(p, basis)
     order = np.argsort(-diag, kind="stable")
@@ -263,7 +266,6 @@ def moduli_canonicalize(p: ModuliPoint, basis: GellMannBasis) -> tuple[ModuliPoi
     coeffs = basis.cartan_diagonals @ sorted_diag
     mu = coeffs * n / (2.0 * _kernel_scale(n))
     mu /= math.sqrt(float(mu @ mu))
-    mu.setflags(write=False)
     return ModuliPoint(dim_n=n, mu=mu), [int(i) for i in order]
 
 
@@ -273,16 +275,17 @@ def moduli_domain_fraction(n: int, samples: int, seed: int) -> float:
     Samples `mu` uniformly on the unit sphere of dimension N-2 and counts the
     points whose induced kernel diagonal is already descending; the exact
     answer is `1/N!`.  For `n == 2` the sphere is the two-point set {-1, +1}
-    with exactly one canonical point, so 1/2 is returned without sampling.
+    with exactly one canonical point, so 1/2 is returned without sampling,
+    after the same seed and sample-count checks as every other N.
     Hits are counted slice by slice on every lane of `_streams.over_slices`,
     so the result is exact and the same on any number of CPUs.
     """
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
     check_seed(seed)
+    check_samples(samples)
     if n == 2:
         return 0.5
-    check_samples(samples)
     basis = gell_mann_basis(n)
     kappa = _kernel_scale(n)
 
@@ -318,13 +321,7 @@ def assemble_kernel(p: ModuliPoint, u: np.ndarray, basis: GellMannBasis) -> Kern
     Hermitian with `tr(Delta) = 1` and `tr(Delta**2) = N` by construction.
     """
     n = p.dim_n
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (n, n):
-        raise ValidationError(f"expected a {n}x{n} matrix, got shape {u.shape}")
-    if np.max(np.abs(u.conj().T @ u - np.eye(n))) > TOLERANCES.spectral:
-        raise ValidationError("matrix is not unitary within tolerance")
-    if abs(np.linalg.det(u) - 1.0) > TOLERANCES.spectral:
-        raise ValidationError("matrix determinant differs from 1 beyond tolerance")
+    u = PhasePoint(n, u).u
     diag = kernel_diagonal(p, basis)
     delta = (u * diag) @ u.conj().T
     delta = (delta + delta.conj().T) / 2.0

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import GellMannBasis, SymmetricStructureTensor, gell_mann_basis
+from .algebra import SymmetricStructureTensor, _hermitian, expand_in_basis, gell_mann_basis
 from .config import TOLERANCES
 from .errors import InvalidStateError, ValidationError
 
@@ -74,19 +74,14 @@ def bloch_from_rho(matrix: np.ndarray) -> np.ndarray:
     within tolerance; `rho_from_bloch(n, bloch_from_rho(rho))` reproduces
     `rho` exactly up to round-off.
     """
-    matrix = np.asarray(matrix, dtype=complex)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ValidationError(f"expected a square matrix, got shape {matrix.shape}")
+    matrix = _hermitian(matrix, "density matrix")
     n = matrix.shape[0]
-    if np.max(np.abs(matrix - matrix.conj().T)) > TOLERANCES.algebraic:
-        raise ValidationError("density matrix must be Hermitian")
     if abs(np.trace(matrix).real - 1.0) > TOLERANCES.algebraic:
         raise ValidationError(f"density matrix must have unit trace, got {np.trace(matrix).real!r}")
     lo = float(np.linalg.eigvalsh(matrix)[0])
     if lo < -TOLERANCES.spectral:
         raise InvalidStateError(f"matrix is not positive semidefinite (min eigenvalue {lo:.3e})", min_eigenvalue=lo)
-    basis = gell_mann_basis(n)
-    xi = np.einsum("ij,aji->a", matrix, basis.generators).real * (n / (2.0 * bloch_scale(n)))
+    xi = expand_in_basis(matrix, gell_mann_basis(n))[0] * (n / bloch_scale(n))
     xi.setflags(write=False)
     return xi
 

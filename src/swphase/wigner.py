@@ -20,7 +20,7 @@ from typing import Callable, Mapping, NamedTuple
 import numpy as np
 
 from ._streams import counter_normals
-from .algebra import GellMannBasis, gell_mann_basis
+from .algebra import GellMannBasis, _hermitian, gell_mann_basis
 from .config import TOLERANCES
 from .errors import DomainError, NumericalIntegrityError, ValidationError
 from .group import (
@@ -28,6 +28,7 @@ from .group import (
     EulerSU3,
     PhasePoint,
     _haar_average,
+    _unitary,
     adjoint_vector,
     n3_closed_form,
     n8_closed_form,
@@ -290,15 +291,6 @@ class NormCheckResult(NamedTuple):
     sigma: float
 
 
-def _validated_hermitian(a: np.ndarray, name: str) -> np.ndarray:
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValidationError(f"{name} must be a square matrix, got shape {a.shape}")
-    if np.max(np.abs(a - a.conj().T)) > TOLERANCES.algebraic:
-        raise ValidationError(f"{name} must be Hermitian within tolerance")
-    return a
-
-
 def check_norm(state: DensityState, moduli: ModuliPoint, samples: int, seed: int) -> NormCheckResult:
     """Monte Carlo check of the norm postulate: the Haar average of `N W` equals `tr(rho) = 1`."""
     n = state.dim_n
@@ -311,7 +303,7 @@ def check_standardisation(
     a: np.ndarray, moduli: ModuliPoint, samples: int, seed: int
 ) -> CheckResult:
     """Monte Carlo check of standardisation: `N * E[tr(A Delta)] = tr(A)`."""
-    a = _validated_hermitian(a, "A")
+    a = _hermitian(a, "A")
     n = a.shape[0]
     diag = kernel_diagonal(moduli, gell_mann_basis(n))
     mc, se = _haar_average(n, seed, samples, lambda u: n * _symbol_batch(_delta_batch(u, diag), a))
@@ -326,11 +318,9 @@ def check_traciality(
     Both symbols are taken against the same kernel family member, which is
     the self-dual setting where the identity holds.
     """
-    a = _validated_hermitian(a, "A")
-    b = _validated_hermitian(b, "B")
-    if a.shape != b.shape:
-        raise ValidationError(f"operator shapes differ: {a.shape} vs {b.shape}")
+    a = _hermitian(a, "A")
     n = a.shape[0]
+    b = _hermitian(b, "B", n)
     diag = kernel_diagonal(moduli, gell_mann_basis(n))
 
     def products(u: np.ndarray) -> np.ndarray:
@@ -356,9 +346,7 @@ def check_covariance(
     """
     n = state.dim_n
     basis = gell_mann_basis(n)
-    g = np.asarray(g, dtype=complex)
-    if np.max(np.abs(g.conj().T @ g - np.eye(n))) > TOLERANCES.spectral:
-        raise ValidationError("transformation matrix is not unitary within tolerance")
+    g = _unitary(g, n, "transformation matrix")
     u = kernel_point.u
     special = g / np.linalg.det(g) ** (1.0 / n)
     moved = assemble_kernel(moduli, special @ u, basis).delta

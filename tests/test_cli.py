@@ -105,6 +105,14 @@ def test_moduli_sample_n3(capsys):
     assert abs(payload["mc"] - 1 / 6) < 5 * payload["sigma"]
 
 
+@pytest.mark.parametrize("samples", ["0", "-5", "999"])
+@pytest.mark.parametrize("n", ["2", "3"])
+def test_moduli_sample_rejects_too_few_samples(capsys, n, samples):
+    # N=2 returns 1/2 without drawing, but the sample count is still checked
+    code, out, err = run(capsys, "moduli-sample", "--n", n, "--samples", samples)
+    assert code == 2 and out == "" and "at least 1000" in err
+
+
 def test_wigner_eval_qubit_grid_ends(capsys):
     code, out, _ = run(
         capsys,
@@ -276,6 +284,11 @@ def test_wigner_eval_state_file(tmp_path, capsys):
     assert payload["rows"][0][-1] == pytest.approx((1 + math.sqrt(3)) / 2, abs=1e-12)
     code, _, err = run(capsys, "wigner-eval", "--n", "3", "--nu", "-0.5", "--state-file", str(path))
     assert code == 2 and "n=2" in err
+    # a truncated file and one that is not UTF-8 text are usage errors, not tracebacks
+    for content in (b'{"n": 2, "bloch": [0.0, ', b"\xff\xfe{}"):
+        path.write_bytes(content)
+        code, out, err = run(capsys, "wigner-eval", "--n", "2", "--state-file", str(path))
+        assert code == 2 and out == "" and "state file" in err
 
 
 def test_reconstruct_roundtrip(capsys):

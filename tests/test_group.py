@@ -127,6 +127,13 @@ def test_haar_batch_lanes_match_single_slices(monkeypatch):
                 assert np.array_equal(haar_batch(n, 9, start, count), singles), (n, count, 3)
 
 
+def test_haar_batch_rejects_bad_ranges():
+    for args in ((2, 1, -5, 3), (2, 1, 0, -1), (1, 1, 0, 5)):
+        with pytest.raises(DomainError):
+            haar_batch(*args)
+    assert haar_batch(2, 1, 0, 0).shape == (0, 2, 2)
+
+
 def test_haar_batch_lane_error_reaches_caller(monkeypatch):
     # two slices: the calling thread holds its slice until a pool lane has failed on the other
     fill = group._haar_slice
