@@ -5,7 +5,8 @@ a positive real diagonal (Mezzadri 2007), then pushed from U(N) to SU(N) by
 dividing the first column by the determinant (a measure-preserving move for
 every balanced observable: the overall U(1) phase cancels between `U` and
 `U*` factors, so all Weingarten moments used here are unchanged).  That Q is
-built by classical Gram-Schmidt applied twice, vectorised over the batch.
+built by classical Gram-Schmidt applied twice, vectorised over the batch,
+with the last column and the determinant in closed form for N <= 4.
 Sampling follows the counter-based substream contract of `_streams`, so the
 samples are independent of batching: sample `k` is the same in any batch,
 and whichever thread fills it.
@@ -17,6 +18,7 @@ import numbers
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from itertools import combinations
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -56,8 +58,9 @@ class EulerSU3:
     """Euler angles of the SU(3) chart `V(alpha,beta,gamma) e^{i theta g5} V(a,b,c) e^{i phi g8}`.
 
     The chart covers the group for alpha, a in [0, 2pi], beta, b in [0, pi],
-    gamma, c in [0, 4pi], theta in [0, pi/2], phi in [0, sqrt(3) pi].  Angles
-    outside these ranges only trigger a warning: the closed-form identities in
+    gamma, c in [0, 4pi], theta in [0, pi/2], phi in [0, sqrt(3) pi].  A
+    non-finite angle raises `ValidationError`; finite angles outside these
+    ranges only trigger a warning: the closed-form identities in
     this module hold for all real angles, and tests sweep freely.  Angles may
     be arrays of one shape; the closed forms then return one frame vector per
     point, on the last axis, and the range check runs once for all points.
@@ -83,6 +86,9 @@ class EulerSU3:
             "theta": (self.theta, math.pi / 2.0),
             "phi": (self.phi, math.sqrt(3.0) * math.pi),
         }
+        bad = [name for name, (value, _) in ranges.items() if not np.all(np.isfinite(value))]
+        if bad:
+            raise ValidationError(f"Euler angle(s) must be finite: {', '.join(bad)}")
         off = [name for name, (value, hi) in ranges.items() if not np.all((0.0 <= value) & (value <= hi))]
         if off:
             warnings.warn(f"Euler angle(s) outside the chart ranges: {', '.join(off)}", stacklevel=3)
@@ -90,13 +96,18 @@ class EulerSU3:
 
 @dataclass(frozen=True)
 class EulerSU2:
-    """Angles of the qubit coset chart `e^{i alpha/2 s3} e^{i beta/2 s2} e^{-i alpha/2 s3}`, or arrays of them."""
+    """Angles of the qubit coset chart `e^{i alpha/2 s3} e^{i beta/2 s2} e^{-i alpha/2 s3}`, or arrays of them.
+
+    Non-finite angles raise `ValidationError`; finite ones outside [0, 2pi] x [0, pi] only warn.
+    """
 
     alpha: float = 0.0
     beta: float = 0.0
 
     def __post_init__(self):
         a, b = self.alpha, self.beta
+        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+            raise ValidationError("qubit chart angles must be finite")
         if not np.all((0.0 <= a) & (a <= 2.0 * math.pi) & (0.0 <= b) & (b <= math.pi)):
             warnings.warn("qubit chart angles outside [0, 2pi] x [0, pi]", stacklevel=3)
 
@@ -135,21 +146,40 @@ class PhasePoint:
         object.__setattr__(self, "u", u)
 
 
+def _cofactors(q: np.ndarray) -> list:
+    """Cofactor of each row i in `det[q_0 .. q_{N-2}, x]`, by Laplace expansion with each minor built once."""
+    n = q.shape[-1]
+    minors = {(r,): q[:, r, 0] for r in range(n)}  # of rows `rows` and the first len(rows) columns
+    for col in range(1, n - 1):
+        for rows in combinations(range(n), col + 1):
+            # numpy runs a large `view * temporary` as `temporary *= view`, which rounds differently: minors first
+            terms = [minors[rows[:i] + rows[i + 1 :]] * q[:, rows[i], col] for i in range(col, -1, -1)]
+            minors[rows] = reduce(lambda rest, t: t - rest, terms[::-1])  # terms[0] - terms[1] + terms[2] ...
+    rows = tuple(range(n))
+    return [(-1) ** (n - 1 - i) * minors[rows[:i] + rows[i + 1 :]] for i in rows]
+
+
 def _orthonormalize(g: np.ndarray) -> np.ndarray:
-    """The Q factor with positive real R diagonal of each matrix in `g`, computed in place.
+    """The Q factor with positive real R diagonal of each matrix in `g`, computed in place; returns det Q.
 
     Classical Gram-Schmidt over the columns, with the projection applied twice:
     one pass loses orthogonality in proportion to the condition number, two
     keep it at round-off (Giraud, Langou, Rozloznik 2005).  Sums run over
     matrix indices only, never across the batch axis, so a sample's
     arithmetic does not depend on the batch it is in.
+
+    For N <= 4 the last column is `e^{i psi} conj(w)`, `w` the `_cofactors` of
+    the others; a positive last R entry fixes `e^{i psi} = s/|s|` for
+    `s = det[q_0 .. q_{N-2}, g_{N-1}]`, and `det Q = e^{i psi} |w|^2 = e^{i psi}`
+    to round-off.  Above N = 4 every column is projected and LAPACK gives det Q.
     """
     count, n = len(g), g.shape[-1]
+    cols = n - 1 if n <= 4 else n
     with lane_buffers() as scratch:
         # temporaries in lane scratch, laid out as fresh arrays would be, so the bits do not change
-        rows = scratch.take((n + 3) * count * n, complex).reshape(n + 3, count * n)
-        qc, (c, t, w) = rows[:n].reshape(-1), rows[n:]
-        for j in range(n):
+        rows = scratch.take((cols + 3) * count * n, complex).reshape(cols + 3, count * n)
+        qc, (c, t, w) = rows[:cols].reshape(-1), rows[cols:]
+        for j in range(cols):
             v = g[:, :, j]
             if j:
                 q = g[:, :, :j]
@@ -159,23 +189,14 @@ def _orthonormalize(g: np.ndarray) -> np.ndarray:
                     v = np.subtract(v, np.einsum("kil,kl->ki", q, cj, out=t.reshape(count, n)), out=w.reshape(count, n))
             norm = np.sqrt(np.einsum("ki,ki->k", v.real, v.real) + np.einsum("ki,ki->k", v.imag, v.imag))
             np.divide(v, norm[:, None], out=g[:, :, j])
-    return g
-
-
-def _det(q: np.ndarray) -> np.ndarray:
-    """Determinants of a batch of matrices: cofactor expansion for N <= 3, LAPACK above."""
-    n = q.shape[-1]
-    if n == 2:
-        return q[:, 0, 0] * q[:, 1, 1] - q[:, 0, 1] * q[:, 1, 0]
-    if n == 3:
-        # cofactors first: numpy turns a large `view * temporary` into `temporary *= view`,
-        # and complex products are not bitwise commutative, so the order would follow the batch size
-        return (
-            (q[:, 1, 1] * q[:, 2, 2] - q[:, 1, 2] * q[:, 2, 1]) * q[:, 0, 0]
-            - (q[:, 1, 0] * q[:, 2, 2] - q[:, 1, 2] * q[:, 2, 0]) * q[:, 0, 1]
-            + (q[:, 1, 0] * q[:, 2, 1] - q[:, 1, 1] * q[:, 2, 0]) * q[:, 0, 2]
-        )
-    return np.linalg.det(q)
+    if cols == n:
+        return np.linalg.det(g)
+    cof = _cofactors(g)
+    s = reduce(np.add, (w * g[:, i, -1] for i, w in enumerate(cof)))
+    phase = s / np.abs(s)
+    np.conjugate(np.stack(cof, axis=-1), out=g[:, :, -1])
+    g[:, :, -1] *= phase[:, None]
+    return phase
 
 
 def _haar_slice(n: int, seed: int, start: int, q: np.ndarray) -> None:
@@ -184,8 +205,7 @@ def _haar_slice(n: int, seed: int, start: int, q: np.ndarray) -> None:
         z = counter_normals(seed, start, len(q), 2 * n * n, out=scratch.take(len(q) * _padded_budget(2 * n * n)))
         q.real, q.imag = z[:, : n * n].reshape(q.shape), z[:, n * n :].reshape(q.shape)
     # Q does not depend on the Ginibre scale 1/sqrt(2), so it is not applied
-    _orthonormalize(q)
-    q[:, :, 0] /= _det(q)[:, None]
+    q[:, :, 0] /= _orthonormalize(q)[:, None]
 
 
 def haar_batch(n: int, seed: int, start: int, count: int, *, out: np.ndarray | None = None) -> np.ndarray:
@@ -195,7 +215,7 @@ def haar_batch(n: int, seed: int, start: int, count: int, *, out: np.ndarray | N
     splits or sample totals share their common prefix bit-for-bit.  Each
     sample is the Q factor, with positive real R diagonal, of a complex
     Ginibre matrix, by twice-applied Gram-Schmidt; its first column is then
-    divided by its determinant, in closed form for N <= 3.
+    divided by its determinant, in closed form with the last column for N <= 4.
 
     The batch is filled slice by slice on the lanes of `_streams.over_slices`;
     lanes write disjoint slices and reduce nothing, so the output is the same

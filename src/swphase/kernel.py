@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from ._streams import _padded_budget, check_samples, check_seed, counter_normals, lane_buffers, over_slices
-from .algebra import GellMannBasis, gell_mann_basis
+from .algebra import GellMannBasis, _hermitian, gell_mann_basis
 from .config import TOLERANCES
 from .errors import DomainError, ValidationError
 from .group import PhasePoint
@@ -111,10 +111,13 @@ class KernelSpectrum:
 
 @dataclass(frozen=True)
 class KernelMatrix:
-    """A Hermitian Stratonovich-Weyl kernel `Delta` at one phase-space point."""
+    """A Hermitian Stratonovich-Weyl kernel `Delta` at one phase-space point; construction checks `delta`."""
 
     dim_n: int
     delta: np.ndarray
+
+    def __post_init__(self):
+        _hermitian(self.delta, "kernel matrix", self.dim_n)
 
 
 def moduli_point(n: int, mu: Sequence[float]) -> ModuliPoint:

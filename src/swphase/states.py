@@ -29,11 +29,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DensityState:
-    """A density matrix together with its Bloch-vector view."""
+    """A density matrix together with its Bloch-vector view; construction checks `rho`."""
 
     dim_n: int
     rho: np.ndarray
     bloch: np.ndarray
+
+    def __post_init__(self):
+        _hermitian(self.rho, "density matrix", self.dim_n)
 
 
 def bloch_scale(n: int) -> float:

@@ -228,15 +228,24 @@ def test_haar_batch_matches_lapack_reference(n):
     assert np.max(np.abs(u - lapack_haar(n, 4, 0, 4096))) <= 1e-12
 
 
-@pytest.mark.parametrize("n", [3, 6])
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
 def test_orthonormalize_ill_conditioned(n):
     # last column = first + 1e-11 noise, condition number ~1e12: a single
-    # Gram-Schmidt pass leaves errors near 1e-4, the second pass removes them
+    # Gram-Schmidt pass leaves errors near 1e-4, the second pass removes them;
+    # for N <= 4 the last column is the closed-form one, whose phase comes from
+    # a determinant of size ~1e-11
     rng = np.random.default_rng(n)
     g = rng.normal(size=(256, n, n)) + 1j * rng.normal(size=(256, n, n))
     g[:, :, -1] = g[:, :, 0] + 1e-11 * (rng.normal(size=(256, n)) + 1j * rng.normal(size=(256, n)))
-    q = _orthonormalize(g)
+    q = g.copy()
+    det = _orthonormalize(q)
     assert np.max(np.abs(np.einsum("kji,kjl->kil", q.conj(), q) - np.eye(n))) <= 1e-13
+    r = np.einsum("kji,kjl->kil", q.conj(), g)  # R = Q^dag G
+    assert np.max(np.abs(np.tril(r, -1))) <= 1e-13
+    diag = np.diagonal(r, axis1=1, axis2=2)
+    assert np.all(diag.real > 0) and np.max(np.abs(diag.imag)) <= 1e-13
+    assert np.max(np.abs(np.abs(det) - 1.0)) <= 1e-13
+    assert np.max(np.abs(det - np.linalg.det(q))) <= 1e-13
 
 
 def test_haar_sample_is_first_of_batch():

@@ -12,7 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swphase import (
+    DensityState,
     DomainError,
+    EulerSU2,
+    EulerSU3,
+    KernelMatrix,
     ModuliPoint,
     PhasePoint,
     ValidationError,
@@ -54,6 +58,10 @@ CASES = {
     "_parse_grid": ([0.0, 1.0], lambda ends: _parse_grid([f"beta={ends[0]!r}:{ends[1]!r}:3"], ("alpha", "beta"))),
     "weingarten2 indices": ([1, 2, 2, 1], lambda idx: weingarten2_check(3, tuple(idx), 10_000, 1)),
     "weingarten4 indices": ([1] * 8, lambda idx: weingarten4_check(3, tuple(idx), 10_000, 1)),
+    "EulerSU3": ([0.5] * 8, lambda angles: EulerSU3(*angles)),
+    "EulerSU2": ([0.5, 1.0], lambda angles: EulerSU2(*angles)),
+    "KernelMatrix": (assemble_kernel(MODULI, POINT.u, gell_mann_basis(3)).delta, lambda d: KernelMatrix(dim_n=3, delta=d)),
+    "DensityState": (STATE.rho, lambda rho: DensityState(dim_n=3, rho=rho, bloch=STATE.bloch)),
 }
 
 
