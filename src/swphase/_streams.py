@@ -18,6 +18,7 @@ slice order, so memory is O(lanes x slice) and results do not depend on the CPUs
 """
 from __future__ import annotations
 
+import operator
 import os
 import threading
 from contextlib import contextmanager
@@ -52,9 +53,17 @@ def check_seed(seed: int) -> None:
 
 
 def check_samples(samples: int) -> None:
-    """Raise `DomainError` below the sample floor of every Monte Carlo estimate."""
-    if samples < _MIN_SAMPLES:
+    """Raise `DomainError` unless `samples` is an integer at or above the sample floor of every Monte Carlo estimate."""
+    if _as_index(samples, "sample count") < _MIN_SAMPLES:
         raise DomainError(f"need at least {_MIN_SAMPLES} samples, got {samples}")
+
+
+def _as_index(value, name: str) -> int:
+    """`value` as an int if `operator.index` takes it (Python and numpy ints), else `DomainError`."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
 
 
 def counter_uniforms(seed: int, start: int, count: int, width: int, *, out: np.ndarray | None = None) -> np.ndarray:

@@ -8,10 +8,11 @@ Subcommands:
 * ``reconstruct``    -- Monte Carlo state reconstruction from Wigner data.
 * ``verify``         -- the full postulate verification suite.
 
-All numbers serialize with 17 significant digits so identical configurations
-produce byte-identical output files; the JSON and CSV formats carry the same
-numeric payload.  Exit codes: 0 on success (and all checks passing), 1 when a
-verification suite fails, 2 on usage or domain errors.
+All numbers serialize with 17 significant digits so identical configurations produce
+byte-identical output files.  The CSV leaves out ``flag_dims`` of ``spectrum``, ``nu``
+and ``state`` of ``reconstruct``, ``all_pass`` of ``verify`` and ``n``, ``mu``, ``nu``,
+``chart`` and ``state`` of ``wigner-eval``.  Exit codes: 0 on success (and all checks
+passing), 1 when a verification suite fails, 2 on usage or domain errors.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ import argparse
 import json
 import math
 import sys
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -59,67 +60,56 @@ _Z_LIMIT = 3.0
 # deterministic serialization
 
 
-def _fmt_float(x: float) -> str:
-    return f"{float(x):.17g}"
+#: Each format's spelling of booleans, None, strings and the non-finite floats (keyed by their `.17g` text).
+_JSON = {True: "true", False: "false", None: "null", str: json.dumps,
+         "nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_CSV = {True: "1", False: "0", None: "", str: str}
 
 
-def _json_float(x: float) -> str:
-    # mirror json.dumps for non-finite values so output always parses back
-    x = float(x)
-    if math.isnan(x):
-        return "NaN"
-    if math.isinf(x):
-        return "Infinity" if x > 0 else "-Infinity"
-    return _fmt_float(x)
+def _scalar(value, spelling: dict) -> str:
+    """One scalar: floats with 17 significant digits, integers exact, the rest as `spelling` says."""
+    if isinstance(value, (float, np.floating)):
+        text = f"{float(value):.17g}"
+        return spelling.get(text, text)
+    if isinstance(value, bool) or value is None:
+        return spelling[value]
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return spelling[str](value)
 
 
-def _render_json(value, indent: int = 0) -> str:
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
+def _render_json(value, indent: str = "") -> str:
+    inner = indent + "  "
     if isinstance(value, dict):
         if not value:
             return "{}"
-        items = [f'{inner}{json.dumps(k)}: {_render_json(v, indent + 1)}' for k, v in value.items()]
-        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        parts = [_render_json(v, indent + 1) for v in value]
-        if all(not isinstance(v, (dict, list, tuple)) for v in value):
-            return "[" + ", ".join(parts) + "]"
-        return "[\n" + ",\n".join(inner + p for p in parts) + f"\n{pad}]"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return _json_float(value)
-    if value is None:
-        return "null"
-    if isinstance(value, str):
-        return json.dumps(value)
-    raise TypeError(f"cannot serialize {type(value)!r}")
+        items = [f"{inner}{json.dumps(k)}: {_render_json(v, inner)}" for k, v in value.items()]
+        return "{\n" + ",\n".join(items) + f"\n{indent}}}"
+    if not isinstance(value, (list, tuple)):
+        return _scalar(value, _JSON)
+    if not any(isinstance(v, (dict, list, tuple)) for v in value):
+        return "[" + ", ".join([_scalar(v, _JSON) for v in value]) + "]"
+    return "[\n" + ",\n".join([inner + _render_json(v, inner) for v in value]) + f"\n{indent}]"
 
 
-def _csv_cell(value) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return _fmt_float(value)
-    if value is None:
-        return ""
-    return str(value)
+def _render_csv(header: Iterable[str], rows: Iterable[Iterable]) -> str:
+    return "\n".join([",".join(header), *(",".join([_scalar(c, _CSV) for c in row]) for row in rows)])
 
 
-def _render_csv(header: Sequence[str], rows: Sequence[Sequence]) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(_csv_cell(c) for c in row) for row in rows)
-    return "\n".join(lines)
+def _row(**fields) -> dict:
+    """A CSV row, column -> value: a vector or matrix spreads over `name_1, ...` or `name_11, ...`; None has none."""
+    row = {}
+    for name, value in fields.items():
+        if isinstance(value, (list, tuple, np.ndarray)):
+            for index, x in np.ndenumerate(np.asarray(value)):
+                row[f"{name}_" + "".join(str(i + 1) for i in index)] = x
+        elif value is not None:
+            row[name] = value
+    return row
 
 
-def _emit(args, payload: dict, header: Sequence[str], rows: Sequence[Sequence]) -> None:
+def _emit(args, payload: dict, header: Iterable[str], rows: Iterable[Iterable]) -> None:
+    """Write `payload` as JSON, or the CSV table of `header` and `rows`; a row mapping's keys serve as header."""
     text = _render_json(payload) if args.format == "json" else _render_csv(header, rows)
     text += "\n"
     if args.output == "-":
@@ -211,27 +201,11 @@ def cmd_spectrum(args) -> int:
         "trace_residual": trace_res,
         "purity_residual": purity_res,
     }
-    header = (
-        ["n"]
-        + [f"mu_{i + 1}" for i in range(len(moduli.mu))]
-        + ([] if nu is None else ["nu"])
-        + [f"spectrum_{i + 1}" for i in range(args.n)]
-        + [f"multiplicity_{i + 1}" for i in range(len(multiplicities))]
-        + ["flag_dim", "degenerate"]
-        + ([] if det_inv is None else ["det_invariant"])
-        + ["trace_residual", "purity_residual"]
+    row = _row(
+        n=args.n, mu=moduli.mu, nu=nu, spectrum=spec.eigenvalues, multiplicity=multiplicities, flag_dim=flag_dim,
+        degenerate=spec.degenerate, det_invariant=det_inv, trace_residual=trace_res, purity_residual=purity_res,
     )
-    row = (
-        [args.n]
-        + [float(x) for x in moduli.mu]
-        + ([] if nu is None else [nu])
-        + [float(x) for x in spec.eigenvalues]
-        + list(multiplicities)
-        + [flag_dim, spec.degenerate]
-        + ([] if det_inv is None else [det_inv])
-        + [trace_res, purity_res]
-    )
-    _emit(args, payload, header, [row])
+    _emit(args, payload, row, [row.values()])
     return 0
 
 
@@ -260,11 +234,15 @@ def _fraction_record(n: int, moduli, samples: int, seed: int) -> dict:
     return _record("moduli_fraction", n, moduli, samples, seed, mc, target, sigma)
 
 
+def _check_table(*records: dict) -> tuple[dict, list]:
+    """CSV header and rows of check records, each one's `moduli` spread over the columns `mu_1, mu_2, ...`."""
+    rows = [_row(**{"mu" if key == "moduli" else key: value for key, value in r.items()}) for r in records]
+    return rows[0], [row.values() for row in rows]
+
+
 def cmd_moduli_sample(args) -> int:
     record = _fraction_record(args.n, (), args.samples, args.seed)
-    header = ["check", "n", "samples", "seed", "mc", "target", "sigma", "z", "pass"]
-    row = [record[k] for k in header]
-    _emit(args, record, header, [row])
+    _emit(args, record, *_check_table(record))
     return 0 if record["pass"] else 1
 
 
@@ -280,6 +258,8 @@ def _parse_grid(specs: Sequence[str] | None, allowed: Sequence[str]) -> dict[str
             raise ValidationError(
                 f"angle {name!r} is not a chart coordinate here (expected one of {', '.join(allowed)})"
             )
+        if name in axes:
+            raise ValidationError(f"angle {name!r} has more than one --grid spec")
         parts = rest.split(":")
         if len(parts) != 3:
             raise ValidationError(f"grid spec {spec!r} must look like name=start:stop:count")
@@ -343,22 +323,12 @@ def cmd_reconstruct(args) -> int:
         "frobenius_error_estimate": result.frobenius_error_estimate,
         "antihermitian_residue": result.antihermitian_residue,
     }
-    n = args.n
-    header = (
-        ["n", "samples", "seed"]
-        + [f"mu_{i + 1}" for i in range(len(moduli.mu))]
-        + [f"rho_re_{i + 1}{j + 1}" for i in range(n) for j in range(n)]
-        + [f"rho_im_{i + 1}{j + 1}" for i in range(n) for j in range(n)]
-        + ["frobenius_error", "frobenius_error_estimate", "antihermitian_residue"]
+    row = _row(
+        n=args.n, samples=args.samples, seed=args.seed, mu=moduli.mu, rho_re=result.rho_hat.real,
+        rho_im=result.rho_hat.imag, frobenius_error=error, frobenius_error_estimate=result.frobenius_error_estimate,
+        antihermitian_residue=result.antihermitian_residue,
     )
-    row = (
-        [n, args.samples, args.seed]
-        + [float(x) for x in moduli.mu]
-        + [float(x) for x in result.rho_hat.real.reshape(-1)]
-        + [float(x) for x in result.rho_hat.imag.reshape(-1)]
-        + [error, result.frobenius_error_estimate, result.antihermitian_residue]
-    )
-    _emit(args, payload, header, [row])
+    _emit(args, payload, row, [row.values()])
     return 0
 
 
@@ -407,15 +377,7 @@ def cmd_verify(args) -> int:
         "checks": records,
         "all_pass": all_pass,
     }
-    header = ["check", "n", *(f"mu_{i + 1}" for i in range(len(moduli.mu))), "samples", "seed"]
-    header += ["mc", "target", "sigma", "z", "pass"]
-    rows = [
-        [r["check"], r["n"]]
-        + list(r["moduli"])
-        + [r["samples"], r["seed"], r["mc"], r["target"], r["sigma"], r["z"], r["pass"]]
-        for r in records
-    ]
-    _emit(args, payload, header, rows)
+    _emit(args, payload, *_check_table(*records))
     return 0 if all_pass else 1
 
 

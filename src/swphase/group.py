@@ -23,7 +23,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ._streams import _padded_budget, check_samples, counter_normals, lane_buffers, over_slices
+from ._streams import _as_index, _padded_budget, check_samples, counter_normals, lane_buffers, over_slices
 from .algebra import GellMannBasis, expand_in_basis, gell_mann_basis
 from .config import TOLERANCES
 from .errors import DomainError, ValidationError
@@ -224,7 +224,7 @@ def haar_batch(n: int, seed: int, start: int, count: int, *, out: np.ndarray | N
     """
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
-    if start < 0 or count < 0:
+    if _as_index(start, "start") < 0 or _as_index(count, "count") < 0:
         raise DomainError(f"need start >= 0 and count >= 0, got start={start} count={count}")
     if out is None:
         out = np.empty((count, n, n), dtype=complex)
@@ -461,7 +461,7 @@ def _check_moment_args(n: int, indices: Sequence[int], arity: int, samples: int)
         raise DomainError(f"expected {arity} indices, got {len(idx)}")
     if any(not 1 <= i <= n for i in idx):
         raise DomainError(f"indices must lie in 1..{n}, got {idx}")
-    if samples < _MOMENT_MIN_SAMPLES:
+    if _as_index(samples, "sample count") < _MOMENT_MIN_SAMPLES:
         raise DomainError(f"need at least {_MOMENT_MIN_SAMPLES} samples, got {samples}")
     return idx
 

@@ -23,7 +23,7 @@ from swphase import (
     su3_from_euler,
     wigner_value,
 )
-from swphase.cli import main
+from swphase.cli import _render_csv, _render_json, main
 
 DEMOS = pathlib.Path(__file__).resolve().parents[1] / "demos"
 
@@ -173,6 +173,10 @@ def test_wigner_eval_rejects_bad_inputs(capsys):
         capsys, "wigner-eval", "--n", "2", "--state", "0,0,1", "--grid", "zeta=0:1:5"
     )
     assert code == 2 and "zeta" in err
+    code, out, err = run(
+        capsys, "wigner-eval", "--n", "2", "--state", "0,0,1", "--grid", "beta=0:1:2", "--grid", "beta=0:2:3"
+    )
+    assert code == 2 and out == "" and "'beta'" in err
     code, _, err = run(
         capsys, "wigner-eval", "--n", "2", "--state", "0,0,1", "--grid", "beta=0:1"
     )
@@ -383,6 +387,134 @@ def test_verify_csv_parity(tmp_path, capsys):
             assert float(row[key]) == record[key]  # identical parsed values
         assert row["pass"] == ("1" if record["pass"] else "0")
         assert [float(row["mu_1"]), float(row["mu_2"])] == record["moduli"]
+
+
+def vector(name, values):
+    return {f"{name}_{i}": v for i, v in enumerate(values, 1)}
+
+
+def matrix(name, rows):
+    return {f"{name}_{i}{j}": v for i, row in enumerate(rows, 1) for j, v in enumerate(row, 1)}
+
+
+def spectrum_row(p):
+    return [{
+        "n": p["n"], **vector("mu", p["mu"]), **({} if p["nu"] is None else {"nu": p["nu"]}),
+        **vector("spectrum", p["spectrum"]), **vector("multiplicity", p["multiplicities"]),
+        "flag_dim": p["flag_dim"], "degenerate": p["degenerate"],
+        **({} if p["det_invariant"] is None else {"det_invariant": p["det_invariant"]}),
+        "trace_residual": p["trace_residual"], "purity_residual": p["purity_residual"],
+    }]
+
+
+SPECTRUM_TAIL = ["flag_dim", "degenerate", "trace_residual", "purity_residual"]
+# argv, the exact CSV header, and the CSV rows as column -> JSON value
+CSV_CASES = {
+    "spectrum n=2": (
+        ["spectrum", "--n", "2"],
+        ["n", "mu_1", "spectrum_1", "spectrum_2", "multiplicity_1", "multiplicity_2", *SPECTRUM_TAIL],
+        spectrum_row,
+    ),
+    "spectrum nu": (
+        ["spectrum", "--n", "3", "--nu", "-0.5"],
+        ["n", "mu_1", "mu_2", "nu", "spectrum_1", "spectrum_2", "spectrum_3", "multiplicity_1", "multiplicity_2",
+         "multiplicity_3", "flag_dim", "degenerate", "det_invariant", "trace_residual", "purity_residual"],
+        spectrum_row,
+    ),
+    "spectrum degenerate nu": (
+        ["spectrum", "--n", "3", "--nu", "-0.3333333333"],
+        ["n", "mu_1", "mu_2", "nu", "spectrum_1", "spectrum_2", "spectrum_3", "multiplicity_1", "multiplicity_2",
+         "flag_dim", "degenerate", "det_invariant", "trace_residual", "purity_residual"],
+        spectrum_row,
+    ),
+    "spectrum mu": (
+        ["spectrum", "--n", "3", "--mu", "0.6,0.8"],
+        ["n", "mu_1", "mu_2", "spectrum_1", "spectrum_2", "spectrum_3", "multiplicity_1", "multiplicity_2",
+         "multiplicity_3", "flag_dim", "degenerate", "det_invariant", "trace_residual", "purity_residual"],
+        spectrum_row,
+    ),
+    "spectrum n=4": (
+        ["spectrum", "--n", "4", "--mu", "0.5,0.5,0.7071067811865476"],
+        ["n", "mu_1", "mu_2", "mu_3", "spectrum_1", "spectrum_2", "spectrum_3", "spectrum_4", "multiplicity_1",
+         "multiplicity_2", "multiplicity_3", "multiplicity_4", *SPECTRUM_TAIL],
+        spectrum_row,
+    ),
+    "moduli-sample": (
+        ["moduli-sample", "--n", "3", "--samples", "5000", "--seed", "3"],
+        ["check", "n", "samples", "seed", "mc", "target", "sigma", "z", "pass"],
+        lambda p: [{k: v for k, v in p.items() if k != "moduli"}],
+    ),
+    "reconstruct": (
+        ["reconstruct", "--n", "2", "--state", "0.1,0.2,0.3", "--samples", "5000", "--seed", "4"],
+        ["n", "samples", "seed", "mu_1", "rho_re_11", "rho_re_12", "rho_re_21", "rho_re_22", "rho_im_11",
+         "rho_im_12", "rho_im_21", "rho_im_22", "frobenius_error", "frobenius_error_estimate",
+         "antihermitian_residue"],
+        lambda p: [{
+            "n": p["n"], "samples": p["samples"], "seed": p["seed"], **vector("mu", p["mu"]),
+            **matrix("rho_re", p["rho_hat_re"]), **matrix("rho_im", p["rho_hat_im"]),
+            "frobenius_error": p["frobenius_error"], "frobenius_error_estimate": p["frobenius_error_estimate"],
+            "antihermitian_residue": p["antihermitian_residue"],
+        }],
+    ),
+    "wigner-eval": (
+        ["wigner-eval", "--n", "3", "--nu", "-1", "--state", ",".join(map(str, XI3)),
+         "--grid", "alpha=0:6:3", "--grid", "theta=0.1:1.5:2"],
+        ["alpha", "beta", "gamma", "theta", "w"],
+        lambda p: [dict(zip(p["columns"], row)) for row in p["rows"]],
+    ),
+}
+
+
+def same_value(cell, value):
+    if isinstance(value, bool):
+        return cell == ("1" if value else "0")
+    if isinstance(value, (int, str)):
+        return cell == str(value)
+    return float(cell) == value or (math.isnan(value) and math.isnan(float(cell)))
+
+
+@pytest.mark.parametrize("case", list(CSV_CASES))
+def test_csv_parity(tmp_path, capsys, case):
+    argv, header, expected_rows = CSV_CASES[case]
+    json_path, csv_path = tmp_path / "out.json", tmp_path / "out.csv"
+    assert main(argv + ["--output", str(json_path)]) == 0
+    assert main(argv + ["--output", str(csv_path), "--format", "csv"]) == 0
+    capsys.readouterr()
+    with open(csv_path, newline="") as fh:
+        lines = list(csv.reader(fh))
+    assert lines[0] == header
+    expected = expected_rows(json.loads(json_path.read_text()))
+    assert len(lines) - 1 == len(expected)
+    for cells, row in zip(lines[1:], expected):
+        assert list(row) == header
+        assert all(same_value(cell, row[name]) for cell, name in zip(cells, header)), (cells, row)
+
+
+def test_scalar_spellings():
+    json_cases = [
+        (math.nan, "NaN"), (math.inf, "Infinity"), (-math.inf, "-Infinity"), (-0.0, "-0"),
+        (np.float32(0.1), "0.10000000149011612"), (0.1, "0.10000000000000001"), (np.int64(-7), "-7"),
+        (2**70, "1180591620717411303424"), (True, "true"), (False, "false"), (None, "null"),
+        ('say "hi"', '"say \\"hi\\""'), ([], "[]"), ({}, "{}"), ((), "[]"),
+        ([1, 2.5, None, True, "a"], '[1, 2.5, null, true, "a"]'),
+        ([[1, 2], [], [3.0]], "[\n  [1, 2],\n  [],\n  [3]\n]"),
+        (
+            {"a": [1], "b": {}, "c": [{"d": math.nan}]},
+            '{\n  "a": [1],\n  "b": {},\n  "c": [\n    {\n      "d": NaN\n    }\n  ]\n}',
+        ),
+    ]
+    for value, text in json_cases:
+        assert _render_json(value) == text, value
+    csv_cases = [
+        (math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf"), (-0.0, "-0"),
+        (np.float32(0.1), "0.10000000149011612"), (np.int64(-7), "-7"), (True, "1"), (False, "0"), (None, ""),
+        ('say "hi"', 'say "hi"'),
+    ]
+    for value, text in csv_cases:
+        assert _render_csv(["x"], [[value]]) == "x\n" + text, value
+    assert _render_csv(["a", "b"], []) == "a,b"
+    assert _render_csv(["a", "b", "c", "d"], [[1, 2.5, None, True]]) == "a,b,c,d\n1,2.5,,1"
+    assert _render_csv(["a", "b"], [[1, 2], [3.0, -0.5]]) == "a,b\n1,2\n3,-0.5"
 
 
 def test_outputs_byte_identical(tmp_path, capsys):

@@ -4,8 +4,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swphase import DomainError, _streams
+from swphase import (
+    DomainError,
+    _streams,
+    check_norm,
+    moduli_point,
+    reconstruct_state,
+    rho_from_bloch,
+    state_wf_sampler,
+    weingarten2_check,
+)
 from swphase._streams import check_samples, counter_normals, counter_uniforms, over_slices
+from swphase.group import haar_batch
+from swphase.kernel import moduli_domain_fraction
 
 
 def test_uniforms_open_interval():
@@ -70,6 +81,27 @@ def test_sample_floor():
     check_samples(1000)
     with pytest.raises(DomainError, match="at least 1000"):
         check_samples(999)
+
+
+QUBIT = moduli_point(2, [1.0])
+QUBIT_STATE = rho_from_bloch(2, np.array([0.0, 0.3, 0.4]))
+# each entry point, called with a sample (or Haar row) count
+COUNTED = {
+    "check_norm": lambda count: check_norm(QUBIT_STATE, QUBIT, count, 1),
+    "weingarten2_check": lambda count: weingarten2_check(2, (1, 1, 1, 1), count, 1),
+    "moduli_domain_fraction": lambda count: moduli_domain_fraction(3, count, 1),
+    "haar_batch": lambda count: haar_batch(2, 1, 0, count),
+    "reconstruct_state": lambda count: reconstruct_state(state_wf_sampler(QUBIT_STATE, QUBIT), 2, QUBIT, count, 1),
+}
+
+
+@pytest.mark.parametrize("entry", list(COUNTED))
+def test_sample_count_must_be_an_integer(entry):
+    # a count that operator.index refuses is a domain error, not a TypeError from range()
+    for count in (20000.0, 20000.5, np.float64(20000.0), "20000"):
+        with pytest.raises(DomainError, match="must be an integer"):
+            COUNTED[entry](count)
+    COUNTED[entry](np.int64(10_000))  # numpy integers are counts too
 
 
 @pytest.mark.parametrize("width", [1, 5, 8, 18])
