@@ -35,7 +35,7 @@ _MIN_SAMPLES = 1000  # fewest samples any Monte Carlo estimate accepts
 #: Samples per slice of the engine; small slices keep each lane's scratch small.
 _SLICE = 1 << 11
 
-#: Thread pool of each process that has run a multi-lane loop, by process id.
+#: Thread pool of each process that has run a multi-lane loop, by process id (a forked child gets no threads).
 _POOLS: dict = {}
 
 #: Per-thread state: `busy` while the thread runs a lane, `free` its idle scratch sets.
@@ -48,22 +48,24 @@ def _padded_budget(width: int) -> int:
 
 def check_seed(seed: int) -> None:
     """Raise `DomainError` unless `seed` is a valid Philox key, an integer in [0, 2**128)."""
-    if not 0 <= seed < 2**128:
+    if _as_index(seed, "seed", 0) >= 2**128:
         raise DomainError(f"seed must lie in [0, 2**128), got {seed}")
 
 
 def check_samples(samples: int) -> None:
     """Raise `DomainError` unless `samples` is an integer at or above the sample floor of every Monte Carlo estimate."""
-    if _as_index(samples, "sample count") < _MIN_SAMPLES:
-        raise DomainError(f"need at least {_MIN_SAMPLES} samples, got {samples}")
+    _as_index(samples, "samples", _MIN_SAMPLES)
 
 
-def _as_index(value, name: str) -> int:
-    """`value` as an int if `operator.index` takes it (Python and numpy ints), else `DomainError`."""
+def _as_index(value, name: str, low: int) -> int:
+    """`value` as an int if `operator.index` takes it (Python and numpy ints) and it is `low` or more, else `DomainError`."""
     try:
-        return operator.index(value)
+        index = operator.index(value)
     except TypeError:
         raise DomainError(f"{name} must be an integer, got {value!r}") from None
+    if index < low:
+        raise DomainError(f"{name} must be at least {low}, got {index}")
+    return index
 
 
 def counter_uniforms(seed: int, start: int, count: int, width: int, *, out: np.ndarray | None = None) -> np.ndarray:
@@ -71,20 +73,21 @@ def counter_uniforms(seed: int, start: int, count: int, width: int, *, out: np.n
 
     Returns a `(count, width)` array.  Sample `k` is a pure function of
     `(seed, k, width)`: the generator is keyed by `seed` and fast-forwarded by
-    counter arithmetic, never by drawing.  The open interval is guaranteed by
-    mapping the top 53 bits of each word to `(i + 0.5) * 2**-53`.  `out`, a
-    1-D float array of `count` times the padded width or more, receives the
-    words, and the result is a view of it.
+    counter arithmetic, never by drawing.  The top 53 bits `i` of each word
+    map to `(i + 0.5) * 2**-53`, except that the top word, which rounds to
+    1.0, maps to the largest double below 1: every variate lies in (0, 1).
+    `out`, a 1-D float array of `count` times the padded width or more,
+    receives the words, and the result is a view of it.
     """
-    if count < 0 or width <= 0:
-        raise ValueError(f"need count >= 0 and width > 0, got count={count} width={width}")
     check_seed(seed)
+    start, count, width = _as_index(start, "start", 0), _as_index(count, "count", 0), _as_index(width, "width", 1)
     budget = _padded_budget(width)
     bg = np.random.Philox(key=seed, counter=start * (budget // _WORDS_PER_BLOCK))
     u = np.empty(count * budget) if out is None else out[: count * budget]
     # i * 2**-53 + 2**-54 rounds exactly as (i + 0.5) * 2**-53
     np.random.Generator(bg).random(out=u)
     u += 2.0**-54
+    np.minimum(u, np.nextafter(1.0, 0.0), out=u)
     return u.reshape(count, budget)[:, :width]
 
 
@@ -124,16 +127,6 @@ def _cores() -> int:
         return os.cpu_count() or 1
 
 
-def _pool():
-    """This process's thread pool, created on first use; keyed by process id, as a forked child gets no threads."""
-    pool = _POOLS.get(os.getpid())
-    if pool is None:
-        from concurrent.futures import ThreadPoolExecutor
-
-        pool = _POOLS.setdefault(os.getpid(), ThreadPoolExecutor(max(_cores() - 1, 1)))
-    return pool
-
-
 def over_slices(count: int, partial) -> list:
     """`[partial(a, b) for each _SLICE-sample slice [a, b) of 0 .. count-1]`, on every lane.
 
@@ -161,7 +154,12 @@ def over_slices(count: int, partial) -> list:
             _LANE.busy = nested
 
     lanes = 1 if getattr(_LANE, "busy", False) else min(_cores(), len(bounds))
-    futures = [_pool().submit(lane) for _ in range(1, lanes)]
+    futures = []
+    if lanes > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
+        pool = _POOLS.get(os.getpid()) or _POOLS.setdefault(os.getpid(), ThreadPoolExecutor(max(_cores() - 1, 1)))
+        futures = [pool.submit(lane) for _ in range(1, lanes)]
     try:
         lane()
     finally:

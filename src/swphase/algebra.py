@@ -15,6 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from ._streams import _as_index
 from .config import TOLERANCES
 from .errors import DomainError, ValidationError
 
@@ -65,7 +66,7 @@ class SymmetricStructureTensor:
     d: np.ndarray
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed, so that 2.0 cannot hit the entry of 2
 def gell_mann_basis(n: int) -> GellMannBasis:
     """Construct the generalized Gell-Mann basis of su(N).
 
@@ -73,8 +74,7 @@ def gell_mann_basis(n: int) -> GellMannBasis:
     Gell-Mann matrices in conventional order.  The result is cached and its
     arrays are read-only.
     """
-    if n < 2:
-        raise DomainError(f"su(N) basis needs N >= 2, got {n}")
+    n = _as_index(n, "N", 2)
     mats = np.zeros((n * n - 1, n, n), dtype=complex)
     cartan: list[int] = []
     a = 0

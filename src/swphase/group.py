@@ -23,7 +23,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ._streams import _as_index, _padded_budget, check_samples, counter_normals, lane_buffers, over_slices
+from ._streams import _as_index, _padded_budget, check_samples, check_seed, counter_normals, lane_buffers, over_slices
 from .algebra import GellMannBasis, expand_in_basis, gell_mann_basis
 from .config import TOLERANCES
 from .errors import DomainError, ValidationError
@@ -53,6 +53,17 @@ __all__ = [
 _MOMENT_MIN_SAMPLES = 10_000
 
 
+def _check_chart(label: str, **ranges: tuple) -> None:
+    """Raise `ValidationError` on a non-finite angle, and warn of one outside [0, hi]; `ranges` is name -> (value, hi)."""
+    bad = [name for name, (value, _) in ranges.items() if not np.all(np.isfinite(value))]
+    if bad:
+        raise ValidationError(f"{label} must be finite: {', '.join(bad)}")
+    off = [name for name, (value, hi) in ranges.items() if not np.all((0.0 <= value) & (value <= hi))]
+    if off:
+        # above this frame: __post_init__, the dataclass __init__, then the caller
+        warnings.warn(f"{label} outside the chart ranges: {', '.join(off)}", stacklevel=4)
+
+
 @dataclass(frozen=True)
 class EulerSU3:
     """Euler angles of the SU(3) chart `V(alpha,beta,gamma) e^{i theta g5} V(a,b,c) e^{i phi g8}`.
@@ -76,22 +87,17 @@ class EulerSU3:
     phi: float = 0.0
 
     def __post_init__(self):
-        ranges = {
-            "alpha": (self.alpha, 2.0 * math.pi),
-            "beta": (self.beta, math.pi),
-            "gamma": (self.gamma, 4.0 * math.pi),
-            "a": (self.a, 2.0 * math.pi),
-            "b": (self.b, math.pi),
-            "c": (self.c, 4.0 * math.pi),
-            "theta": (self.theta, math.pi / 2.0),
-            "phi": (self.phi, math.sqrt(3.0) * math.pi),
-        }
-        bad = [name for name, (value, _) in ranges.items() if not np.all(np.isfinite(value))]
-        if bad:
-            raise ValidationError(f"Euler angle(s) must be finite: {', '.join(bad)}")
-        off = [name for name, (value, hi) in ranges.items() if not np.all((0.0 <= value) & (value <= hi))]
-        if off:
-            warnings.warn(f"Euler angle(s) outside the chart ranges: {', '.join(off)}", stacklevel=3)
+        _check_chart(
+            "Euler angle(s)",
+            alpha=(self.alpha, 2.0 * math.pi),
+            beta=(self.beta, math.pi),
+            gamma=(self.gamma, 4.0 * math.pi),
+            a=(self.a, 2.0 * math.pi),
+            b=(self.b, math.pi),
+            c=(self.c, 4.0 * math.pi),
+            theta=(self.theta, math.pi / 2.0),
+            phi=(self.phi, math.sqrt(3.0) * math.pi),
+        )
 
 
 @dataclass(frozen=True)
@@ -105,11 +111,7 @@ class EulerSU2:
     beta: float = 0.0
 
     def __post_init__(self):
-        a, b = self.alpha, self.beta
-        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-            raise ValidationError("qubit chart angles must be finite")
-        if not np.all((0.0 <= a) & (a <= 2.0 * math.pi) & (0.0 <= b) & (b <= math.pi)):
-            warnings.warn("qubit chart angles outside [0, 2pi] x [0, pi]", stacklevel=3)
+        _check_chart("qubit chart angle(s)", alpha=(self.alpha, 2.0 * math.pi), beta=(self.beta, math.pi))
 
 
 def _unitary(u, n: int, name: str) -> np.ndarray:
@@ -138,7 +140,7 @@ class PhasePoint:
     chart: EulerSU3 | EulerSU2 | None = None
 
     def __post_init__(self):
-        u = _unitary(self.u, self.dim_n, "phase-space matrix")
+        u = _unitary(self.u, _as_index(self.dim_n, "N", 2), "phase-space matrix")
         if abs(np.linalg.det(u) - 1.0) > TOLERANCES.spectral:
             raise ValidationError("phase-space matrix determinant differs from 1 beyond tolerance")
         u = u.copy()
@@ -222,10 +224,8 @@ def haar_batch(n: int, seed: int, start: int, count: int, *, out: np.ndarray | N
     on any number of CPUs.  `out`, a complex array of shape `(count, n, n)`,
     receives the samples and is returned.
     """
-    if n < 2:
-        raise DomainError(f"need n >= 2, got {n}")
-    if _as_index(start, "start") < 0 or _as_index(count, "count") < 0:
-        raise DomainError(f"need start >= 0 and count >= 0, got start={start} count={count}")
+    n, start, count = _as_index(n, "N", 2), _as_index(start, "start", 0), _as_index(count, "count", 0)
+    check_seed(seed)
     if out is None:
         out = np.empty((count, n, n), dtype=complex)
     over_slices(count, lambda a, b: _haar_slice(n, seed, start + a, out[a:b]))
@@ -461,8 +461,7 @@ def _check_moment_args(n: int, indices: Sequence[int], arity: int, samples: int)
         raise DomainError(f"expected {arity} indices, got {len(idx)}")
     if any(not 1 <= i <= n for i in idx):
         raise DomainError(f"indices must lie in 1..{n}, got {idx}")
-    if _as_index(samples, "sample count") < _MOMENT_MIN_SAMPLES:
-        raise DomainError(f"need at least {_MOMENT_MIN_SAMPLES} samples, got {samples}")
+    _as_index(samples, "samples", _MOMENT_MIN_SAMPLES)
     return idx
 
 

@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._streams import _padded_budget, check_samples, check_seed, counter_normals, lane_buffers, over_slices
+from ._streams import _as_index, _padded_budget, check_samples, check_seed, counter_normals, lane_buffers, over_slices
 from .algebra import GellMannBasis, _hermitian, gell_mann_basis
 from .config import TOLERANCES
 from .errors import DomainError, ValidationError
@@ -73,9 +73,7 @@ class ModuliPoint:
     mu: np.ndarray
 
     def __post_init__(self):
-        n = self.dim_n
-        if n < 2:
-            raise DomainError(f"kernel families need N >= 2, got N={n}")
+        n = _as_index(self.dim_n, "N", 2)
         vec = np.array(self.mu, dtype=float)
         if vec.shape != (n - 1,):
             raise ValidationError(f"moduli vector for N={n} must have length {n - 1}, got shape {vec.shape}")
@@ -283,8 +281,7 @@ def moduli_domain_fraction(n: int, samples: int, seed: int) -> float:
     Hits are counted slice by slice on every lane of `_streams.over_slices`,
     so the result is exact and the same on any number of CPUs.
     """
-    if n < 2:
-        raise DomainError(f"need n >= 2, got {n}")
+    n = _as_index(n, "N", 2)
     check_seed(seed)
     check_samples(samples)
     if n == 2:

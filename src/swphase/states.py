@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._streams import _as_index
 from .algebra import SymmetricStructureTensor, _hermitian, expand_in_basis, gell_mann_basis
 from .config import TOLERANCES
 from .errors import InvalidStateError, ValidationError
@@ -73,20 +74,15 @@ def rho_from_bloch(n: int, xi: np.ndarray) -> DensityState:
 def bloch_from_rho(matrix: np.ndarray) -> np.ndarray:
     """Recover the Bloch vector of a density matrix.
 
-    The input must be Hermitian with unit trace and positive semidefinite
-    within tolerance; `rho_from_bloch(n, bloch_from_rho(rho))` reproduces
-    `rho` exactly up to round-off.
+    The input must be Hermitian with unit trace, and positive semidefinite
+    within tolerance as `rho_from_bloch` checks it on the rebuilt matrix;
+    `rho_from_bloch(n, bloch_from_rho(rho))` reproduces `rho` exactly up to round-off.
     """
     matrix = _hermitian(matrix, "density matrix")
     n = matrix.shape[0]
     if abs(np.trace(matrix).real - 1.0) > TOLERANCES.algebraic:
         raise ValidationError(f"density matrix must have unit trace, got {np.trace(matrix).real!r}")
-    lo = float(np.linalg.eigvalsh(matrix)[0])
-    if lo < -TOLERANCES.spectral:
-        raise InvalidStateError(f"matrix is not positive semidefinite (min eigenvalue {lo:.3e})", min_eigenvalue=lo)
-    xi = expand_in_basis(matrix, gell_mann_basis(n))[0] * (n / bloch_scale(n))
-    xi.setflags(write=False)
-    return xi
+    return rho_from_bloch(n, expand_in_basis(matrix, gell_mann_basis(n))[0] * (n / bloch_scale(n))).bloch
 
 
 def qutrit_bloch_constraints(
@@ -122,7 +118,7 @@ def state_as_dict(state: DensityState) -> dict:
 def state_from_dict(payload: dict) -> DensityState:
     """Inverse of `state_as_dict`, with full validation."""
     try:
-        n = int(payload["n"])
+        n = _as_index(payload["n"], "n", 2)  # a DomainError is a ValueError: reported as a malformed payload
         bloch = np.asarray(payload["bloch"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed state payload: {exc}") from exc

@@ -211,10 +211,6 @@ def state_wf_sampler(
     The returned callable has the signature `reconstruct_state` expects, so a
     known state can be pushed through the reconstruction round trip.
     """
-    if moduli.dim_n != state.dim_n:
-        raise ValidationError(
-            f"moduli dimension {moduli.dim_n} does not match state dimension {state.dim_n}"
-        )
     diag = kernel_diagonal(moduli, gell_mann_basis(state.dim_n))
     rho = state.rho
 
@@ -254,8 +250,6 @@ def reconstruct_state(
     averaging before being returned, with merged per-slice error sums.  A run
     with `4 m` samples reuses the first `m` samples of the run with the same seed.
     """
-    if moduli.dim_n != n:
-        raise ValidationError(f"moduli dimension {moduli.dim_n} does not match n={n}")
     diag = kernel_diagonal(moduli, gell_mann_basis(n))
 
     def terms(u: np.ndarray) -> np.ndarray:

@@ -313,6 +313,14 @@ def test_out_of_range_angles_warn():
         EulerSU3(alpha=1.0, beta=1.0, theta=0.5)  # in range: no warning
 
 
+def test_out_of_range_warning_names_the_caller():
+    # the one chart validator warns at the line that built the chart, not inside group.py
+    with pytest.warns(UserWarning) as record:
+        EulerSU3(theta=2.0)
+        EulerSU2(beta=4.0)
+    assert [r.filename for r in record] == [__file__, __file__]
+
+
 # --------------------------------------------------------------------------
 # adjoint machinery
 

@@ -121,3 +121,5 @@ def test_state_from_dict_validates():
         state_from_dict({"n": 3})
     with pytest.raises(ValidationError):
         state_from_dict({"n": 2, "bloch": [0.0] * 8})
+    with pytest.raises(ValidationError, match="must be an integer"):
+        state_from_dict({"n": 2.5, "bloch": [0.0] * 3})  # int() would truncate it to a qubit

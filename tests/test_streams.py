@@ -6,8 +6,10 @@ from hypothesis import strategies as st
 
 from swphase import (
     DomainError,
+    PhasePoint,
     _streams,
     check_norm,
+    gell_mann_basis,
     moduli_point,
     reconstruct_state,
     rho_from_bloch,
@@ -71,7 +73,7 @@ def test_normals_moments_sane():
 def test_seed_range():
     # Philox keys are 128-bit; anything outside is a domain error, not a ValueError traceback
     assert counter_uniforms(2**128 - 1, 0, 1, 1).shape == (1, 1)
-    for seed in (-1, 2**128):
+    for seed in (-1, 2**128, 1.9, np.float64(1.0)):
         with pytest.raises(DomainError):
             counter_uniforms(seed, 0, 1, 1)
 
@@ -85,13 +87,15 @@ def test_sample_floor():
 
 QUBIT = moduli_point(2, [1.0])
 QUBIT_STATE = rho_from_bloch(2, np.array([0.0, 0.3, 0.4]))
-# each entry point, called with a sample (or Haar row) count
+# each entry point, called with a sample (or Haar row) count and a seed
 COUNTED = {
-    "check_norm": lambda count: check_norm(QUBIT_STATE, QUBIT, count, 1),
-    "weingarten2_check": lambda count: weingarten2_check(2, (1, 1, 1, 1), count, 1),
-    "moduli_domain_fraction": lambda count: moduli_domain_fraction(3, count, 1),
-    "haar_batch": lambda count: haar_batch(2, 1, 0, count),
-    "reconstruct_state": lambda count: reconstruct_state(state_wf_sampler(QUBIT_STATE, QUBIT), 2, QUBIT, count, 1),
+    "check_norm": lambda count, seed=1: check_norm(QUBIT_STATE, QUBIT, count, seed),
+    "weingarten2_check": lambda count, seed=1: weingarten2_check(2, (1, 1, 1, 1), count, seed),
+    "moduli_domain_fraction": lambda count, seed=1: moduli_domain_fraction(3, count, seed),
+    "haar_batch": lambda count, seed=1: haar_batch(2, seed, 0, count),
+    "reconstruct_state": lambda count, seed=1: reconstruct_state(
+        state_wf_sampler(QUBIT_STATE, QUBIT), 2, QUBIT, count, seed
+    ),
 }
 
 
@@ -102,6 +106,50 @@ def test_sample_count_must_be_an_integer(entry):
         with pytest.raises(DomainError, match="must be an integer"):
             COUNTED[entry](count)
     COUNTED[entry](np.int64(10_000))  # numpy integers are counts too
+
+
+@pytest.mark.parametrize("entry", list(COUNTED))
+def test_seed_must_be_an_integer(entry):
+    # Philox would truncate a float key and silently draw another seed's samples
+    for seed in (1.5, np.float64(1.0)):
+        with pytest.raises(DomainError, match="must be an integer"):
+            COUNTED[entry](10_000, seed)
+    COUNTED[entry](10_000, np.int64(1))
+
+
+def test_dimension_and_start_must_be_integers():
+    for call in (
+        lambda: haar_batch(2.0, 1, 0, 3),
+        lambda: gell_mann_basis(2.5),
+        lambda: gell_mann_basis(2.0),  # equal to a cached int key, but not an int
+        lambda: moduli_point(2.0, [1.0]),
+        lambda: PhasePoint(dim_n=2.0, u=np.eye(2)),
+        lambda: moduli_domain_fraction(3.0, 2000, 1),
+        lambda: counter_uniforms(1, -3, 2, 4),
+        lambda: haar_batch(2, 1, -3, 3),
+    ):
+        with pytest.raises(DomainError):
+            call()
+    # numpy integers pass, and give what Python ints give
+    assert np.array_equal(haar_batch(np.int64(2), 1, np.int64(3), 4), haar_batch(2, 1, 3, 4))
+    assert gell_mann_basis(np.int64(3)).dim_n == 3
+    assert moduli_point(np.int64(2), [1.0]).dim_n == 2
+    assert moduli_domain_fraction(np.int64(3), 2000, 1) == moduli_domain_fraction(3, 2000, 1)
+    assert np.array_equal(counter_uniforms(1, np.int64(3), 2, 4), counter_uniforms(1, 3, 2, 4))
+
+
+def test_top_word_stays_below_one(monkeypatch):
+    # the top 53-bit word, i = 2**53 - 1, plus the half-step offset rounds to 1.0, where ndtri is +inf
+    class TopWords:
+        def __init__(self, bit_generator):
+            pass
+
+        def random(self, out):
+            out[:] = (2**53 - 1) * 2.0**-53
+
+    monkeypatch.setattr(np.random, "Generator", TopWords)
+    assert np.all(counter_uniforms(1, 0, 3, 4) == np.nextafter(1.0, 0.0))
+    assert np.all(np.isfinite(counter_normals(1, 0, 3, 4)))
 
 
 @pytest.mark.parametrize("width", [1, 5, 8, 18])

@@ -197,6 +197,11 @@ def test_reconstruction_guards():
         reconstruct_state(state_wf_sampler(state, MU2), 2, MU2, 500, seed=0)
     with pytest.raises(ValidationError):
         reconstruct_state(lambda u: np.zeros(3), 2, MU2, 2_000, seed=0)
+    # a moduli point of another dimension, caught by kernel_diagonal
+    with pytest.raises(ValidationError, match="does not match"):
+        state_wf_sampler(rho_from_bloch(3, np.zeros(8)), MU2)
+    with pytest.raises(ValidationError, match="does not match"):
+        reconstruct_state(lambda u: np.zeros(len(u)), 3, MU2, 2_000, seed=0)
 
 
 def test_engine_results_same_on_any_cpu_count(monkeypatch):
