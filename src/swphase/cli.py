@@ -17,10 +17,11 @@ passing), 1 when a verification suite fails, 2 on usage or domain errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -78,22 +79,54 @@ def _scalar(value, spelling: dict) -> str:
     return spelling[str](value)
 
 
-def _render_json(value, indent: str = "") -> str:
+#: Rows of a float table that one `%` template renders, and `_emit` writes, at a time.
+_BLOCK_ROWS = 4096
+
+
+def _blocks(rows, row_text, lead: str, sep: str, end: str, between: str) -> Iterator[str]:
+    """Rows, each `row_text(row)`, joined by `between`, `_BLOCK_ROWS` to a piece opened by a newline or `between`."""
+    for first in range(0, len(rows), _BLOCK_ROWS):
+        block = rows[first:first + _BLOCK_ROWS]
+        if isinstance(block, np.ndarray) and np.isfinite(block).all():
+            # one template of `lead`, values joined by `sep`, `end`: `%.17g` spells finite floats as `_scalar` does
+            text = between.join([lead + sep.join(["%.17g"] * block.shape[1]) + end] * len(block))
+            text %= tuple(block.ravel().tolist())
+        else:
+            text = between.join([row_text(r) for r in block])
+        yield (between if first else "\n") + text
+
+
+def _json_pieces(value, indent: str = "") -> Iterator[str]:
+    """JSON text of `value`, piece by piece; a 2-D float array renders as the list of its rows."""
     inner = indent + "  "
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = [f"{inner}{json.dumps(k)}: {_render_json(v, inner)}" for k, v in value.items()]
-        return "{\n" + ",\n".join(items) + f"\n{indent}}}"
-    if not isinstance(value, (list, tuple)):
-        return _scalar(value, _JSON)
-    if not any(isinstance(v, (dict, list, tuple)) for v in value):
-        return "[" + ", ".join([_scalar(v, _JSON) for v in value]) + "]"
-    return "[\n" + ",\n".join([inner + _render_json(v, inner) for v in value]) + f"\n{indent}]"
+    if isinstance(value, dict) and value:
+        yield "{"
+        for i, (key, v) in enumerate(value.items()):
+            yield f"{',' if i else ''}\n{inner}{json.dumps(key)}: "
+            yield from _json_pieces(v, inner)
+        yield f"\n{indent}}}"
+    elif not isinstance(value, (list, tuple, np.ndarray)):
+        yield "{}" if isinstance(value, dict) else _scalar(value, _JSON)
+    elif getattr(value, "ndim", 0) == 2 or any(isinstance(v, (dict, list, tuple)) for v in value):
+        yield "["
+        yield from _blocks(value, lambda v: inner + _render_json(v, inner), inner + "[", ", ", "]", ",\n")
+        yield f"\n{indent}]"
+    else:
+        yield "[" + ", ".join([_scalar(v, _JSON) for v in value]) + "]"
 
 
-def _render_csv(header: Iterable[str], rows: Iterable[Iterable]) -> str:
-    return "\n".join([",".join(header), *(",".join([_scalar(c, _CSV) for c in row]) for row in rows)])
+def _csv_pieces(header: Iterable[str], rows) -> Iterator[str]:
+    """CSV text of `header` and `rows`, a list of rows or a 2-D float array, piece by piece."""
+    yield ",".join(header)
+    yield from _blocks(rows, lambda r: ",".join([_scalar(c, _CSV) for c in r]), "", ",", "", "\n")
+
+
+def _render_json(value, indent: str = "") -> str:
+    return "".join(_json_pieces(value, indent))
+
+
+def _render_csv(header: Iterable[str], rows) -> str:
+    return "".join(_csv_pieces(header, rows))
 
 
 def _row(**fields) -> dict:
@@ -108,15 +141,12 @@ def _row(**fields) -> dict:
     return row
 
 
-def _emit(args, payload: dict, header: Iterable[str], rows: Iterable[Iterable]) -> None:
-    """Write `payload` as JSON, or the CSV table of `header` and `rows`; a row mapping's keys serve as header."""
-    text = _render_json(payload) if args.format == "json" else _render_csv(header, rows)
-    text += "\n"
-    if args.output == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.output, "w", newline="\n") as fh:
-            fh.write(text)
+def _emit(args, payload: dict, header: Iterable[str], rows) -> None:
+    """Write `payload` as JSON, or the CSV table of `header` (a row mapping's keys do) and `rows`, piece by piece."""
+    pieces = _json_pieces(payload) if args.format == "json" else _csv_pieces(header, rows)
+    with contextlib.nullcontext(sys.stdout) if args.output == "-" else open(args.output, "w", newline="\n") as fh:
+        fh.writelines(pieces)
+        fh.write("\n")
 
 
 # --------------------------------------------------------------------------
@@ -246,7 +276,7 @@ def cmd_moduli_sample(args) -> int:
     return 0 if record["pass"] else 1
 
 
-#: Largest wigner-eval grid, in points; its rows are held in memory at once.
+#: Largest wigner-eval grid, in points; its angles and values are held as one float array.
 _MAX_GRID_POINTS = 10**6
 
 
@@ -271,7 +301,9 @@ def _parse_grid(specs: Sequence[str] | None, allowed: Sequence[str]) -> dict[str
             raise ValidationError(f"grid spec {spec!r} has a non-finite end point")
         if count < 1:
             raise ValidationError(f"grid count must be >= 1, got {count}")
-        axes[name] = (start, stop, count)
+        if count > 1 and not math.isfinite(stop - start):
+            raise ValidationError(f"grid spec {spec!r} spans more than the largest float")
+        axes[name] = (start, stop if count > 1 else start, count)  # linspace subtracts the ends even for one point
     size = math.prod(count for _, _, count in axes.values())
     if size > _MAX_GRID_POINTS:
         raise DomainError(f"grid of {size} points exceeds the limit of {_MAX_GRID_POINTS}")
@@ -288,7 +320,7 @@ def cmd_wigner_eval(args) -> int:
     # --nu goes in as nu: like qutrit_wf, the values then take their moduli from wigner.qutrit_mu,
     # which the wrong-kernel self-test of perfbench replaces
     w = chart_wf(state.bloch, moduli if nu is None else nu, chart, dict(zip(chart.angles, mesh)))
-    rows = np.column_stack([*mesh, w]).tolist()
+    rows = np.column_stack([*mesh, w])
 
     columns = [*chart.angles, "w"]
     payload = {

@@ -51,7 +51,6 @@ __all__ = [
     "wigner_closed_form",
     "qubit_wf",
     "qutrit_wf",
-    "qutrit_wf_adapted",
     "EulerChart",
     "kernel_chart",
     "chart_wf",
@@ -128,18 +127,6 @@ def qutrit_wf(xi: np.ndarray, nu: float, e: EulerSU3, basis: GellMannBasis) -> f
     if basis.dim_n != 3:
         raise ValidationError(f"qutrit Wigner function needs the N=3 basis, got N={basis.dim_n}")
     return _closed_form(rho_from_bloch(3, xi).bloch, _qutrit_frame(qutrit_mu(nu).mu, e))
-
-
-def qutrit_wf_adapted(
-    xi: np.ndarray, alpha: float, beta: float, gamma: float, theta: float
-) -> float:
-    """Wigner function of the `nu = -1/3` kernel in the adapted four-angle chart.
-
-    Evaluates `1/3 + (4/3)(nprime, xi)` with the adapted-chart frame vector;
-    covers the same four-dimensional phase space as `qutrit_wf` at
-    `nu = -1/3` in different coordinates.
-    """
-    return _closed_form(rho_from_bloch(3, xi).bloch, nprime_closed_form(alpha, beta, gamma, theta))
 
 
 class EulerChart(NamedTuple):

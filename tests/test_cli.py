@@ -15,15 +15,18 @@ from swphase import (
     EulerSU2,
     EulerSU3,
     assemble_kernel,
+    chart_wf,
     gell_mann_basis,
+    kernel_chart,
     moduli_point,
     qutrit_mu,
     rho_from_bloch,
+    state_as_dict,
     su2_coset,
     su3_from_euler,
     wigner_value,
 )
-from swphase.cli import _render_csv, _render_json, main
+from swphase.cli import _BLOCK_ROWS, _render_csv, _render_json, main
 
 DEMOS = pathlib.Path(__file__).resolve().parents[1] / "demos"
 
@@ -198,6 +201,20 @@ def test_wigner_eval_rejects_bad_inputs(capsys):
         "--grid", "alpha=0:1:100000", "--grid", "beta=0:1:100000",
     )
     assert code == 2 and "10000000000 points" in err
+
+
+def test_wigner_eval_rejects_overflowing_span(capsys):
+    # stop - start overflows to inf; rejected before linspace, which would warn twice on stderr
+    grid = ["--n", "2", "--state", "0.1,0,0", "--grid"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "wigner-eval", *grid, "alpha=-1e308:1e308:3")
+    assert code == 2 and out == "" and not caught
+    assert err.startswith("error: ") and err.count("\n") == 1 and "span" in err
+    # one point needs no span: huge end points stay valid there, though off the chart ranges
+    with pytest.warns(UserWarning, match="outside the chart ranges") as caught:
+        assert run(capsys, "wigner-eval", *grid, "alpha=-1e308:1e308:1")[0] == 0
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 XI3 = [0.1, -0.05, 0.2, 0.03, -0.1, 0.07, 0.02, -0.15]
@@ -515,6 +532,70 @@ def test_scalar_spellings():
     assert _render_csv(["a", "b"], []) == "a,b"
     assert _render_csv(["a", "b", "c", "d"], [[1, 2.5, None, True]]) == "a,b,c,d\n1,2.5,,1"
     assert _render_csv(["a", "b"], [[1, 2], [3.0, -0.5]]) == "a,b\n1,2\n3,-0.5"
+
+
+def test_non_finite_array_block_spellings():
+    table = np.array([[math.nan, math.inf], [-math.inf, 1.5]])
+    assert _render_json(table) == "[\n  [NaN, Infinity],\n  [-Infinity, 1.5]\n]"
+    assert _render_csv(["a", "b"], table) == "a,b\nnan,inf\n-inf,1.5"
+    # a finite first block takes the template, the second falls back to the spelling tables
+    table = np.linspace(-1.0, 1.0, 2 * (_BLOCK_ROWS + 1)).reshape(-1, 2)
+    table[-1, 0] = math.nan
+    assert _render_json({"rows": table}) == _render_json({"rows": table.tolist()})
+    assert _render_csv(["a", "b"], table) == _render_csv(["a", "b"], table.tolist())
+
+
+@pytest.mark.parametrize("size", [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 3])
+@pytest.mark.parametrize(
+    "kernel, bloch, columns",
+    [([], [0.3, -0.2, 0.5], CHART_ANGLES["qubit"]), (["--nu=-0.5"], XI3, CHART_ANGLES["standard"])],
+)
+def test_wigner_eval_blocks_match_generic_renderers(tmp_path, capsys, size, kernel, bloch, columns):
+    n = 2 if not kernel else 3
+    argv = ["wigner-eval", "--n", str(n), *kernel, "--state", ",".join(map(repr, bloch)),
+            "--grid", f"alpha=0.1:6:{size}", "--grid", "beta=0.25:0.25:1"]
+    # the rows as the generic renderers take them: lists of floats, built apart from the CLI
+    moduli = qutrit_mu(-0.5) if kernel else moduli_point(2, [1.0])
+    chart = kernel_chart(moduli)
+    alpha = np.linspace(0.1, 6.0, size)
+    angles = {name: alpha if name == "alpha" else np.full(size, 0.25 if name == "beta" else 0.0) for name in columns}
+    w = chart_wf(np.array(bloch), -0.5 if kernel else moduli, chart, angles)
+    rows = np.column_stack([*angles.values(), w]).tolist()
+    payload = {
+        "n": n, "mu": [float(x) for x in moduli.mu], "nu": -0.5 if kernel else None, "chart": chart.name,
+        "state": state_as_dict(rho_from_bloch(n, np.array(bloch))), "columns": [*columns, "w"], "rows": rows,
+    }
+    expected = {"json": _render_json(payload) + "\n", "csv": _render_csv([*columns, "w"], rows) + "\n"}
+    for fmt, text in expected.items():
+        path = tmp_path / f"grid.{fmt}"
+        assert main([*argv, "--format", fmt, "--output", str(path)]) == 0
+        assert path.read_bytes() == text.encode()
+        code, out, _ = run(capsys, *argv, "--format", fmt)
+        assert code == 0 and out == text
+
+
+def _wigner_eval_peak_rss_mib(tmp_path, counts: tuple[int, int]) -> float:
+    # VmHWM, not ru_maxrss: a child's ru_maxrss keeps the RSS of the process that forked it
+    code = (
+        "import sys\n"
+        "from swphase.cli import main\n"
+        "grid = ['--grid', f'alpha=0:6:{sys.argv[1]}', '--grid', f'beta=0:3:{sys.argv[2]}']\n"
+        "main(['wigner-eval', '--n', '2', '--state', '0.3,-0.2,0.5', *grid, '--output', sys.argv[3]])\n"
+        "print(next(line.split()[1] for line in open('/proc/self/status') if line.startswith('VmHWM:')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    result = subprocess.run(
+        [sys.executable, "-c", code, *map(str, counts), str(tmp_path / "grid.json")],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    return int(result.stdout) / 1024.0
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="VmHWM is read from /proc")
+def test_wigner_eval_memory_does_not_grow_with_text(tmp_path):
+    # the rendered text of 10^5 points is about 7 MB; written in row blocks, it is never held whole
+    assert _wigner_eval_peak_rss_mib(tmp_path, (400, 250)) <= _wigner_eval_peak_rss_mib(tmp_path, (10, 10)) + 16.0
 
 
 def test_outputs_byte_identical(tmp_path, capsys):

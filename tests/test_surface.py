@@ -28,7 +28,7 @@ PROMISED = [
     "PhasePoint", "EulerSU3", "EulerSU2", "MomentCheck", "haar_sample", "haar_batch", "su3_from_euler",
     "su2_coset", "adjoint_vector", "adjoint_matrix", "n3_closed_form", "n8_closed_form", "nprime_closed_form",
     "ad_t_matrix", "nprime_rotation", "weingarten2_check", "weingarten4_check", "wigner_value",
-    "wigner_closed_form", "qubit_wf", "qutrit_wf", "qutrit_wf_adapted", "reconstruct_state", "state_wf_sampler",
+    "wigner_closed_form", "qubit_wf", "qutrit_wf", "reconstruct_state", "state_wf_sampler",
     "ReconstructionResult", "check_standardisation", "check_traciality", "check_covariance", "check_norm",
     "CheckResult", "NormCheckResult", "seeded_hermitian",
 ]

@@ -16,6 +16,7 @@ from swphase import (
     InvalidStateError,
     ValidationError,
     assemble_kernel,
+    chart_wf,
     check_covariance,
     check_norm,
     check_standardisation,
@@ -23,12 +24,12 @@ from swphase import (
     gell_mann_basis,
     haar_batch,
     haar_sample,
+    kernel_chart,
     kernel_diagonal,
     moduli_point,
     qubit_wf,
     qutrit_mu,
     qutrit_wf,
-    qutrit_wf_adapted,
     reconstruct_state,
     rho_from_bloch,
     seeded_hermitian,
@@ -151,7 +152,11 @@ def test_adapted_chart_matches_trace_form(seed):
     u = adapted_point_via_expm(alpha, beta, gamma, theta)
     kernel = assemble_kernel(qutrit_mu(-1.0 / 3.0), u, B3)
     w = wigner_value(rho_from_bloch(3, xi), kernel)
-    assert qutrit_wf_adapted(xi, alpha, beta, gamma, theta) == pytest.approx(w, abs=1e-12)
+    chart = kernel_chart(qutrit_mu(-1.0 / 3.0))
+    # beta and theta are drawn beyond their chart ranges, which EulerSU3 warns of and allows
+    with pytest.warns(UserWarning, match="outside the chart ranges"):
+        got = chart_wf(xi, -1.0 / 3.0, chart, dict(alpha=alpha, beta=beta, gamma=gamma, theta=theta))
+    assert got == pytest.approx(w, abs=1e-12)
 
 
 def test_qutrit_wf_rejects_bad_inputs():
