@@ -11,17 +11,20 @@ state (Salmon et al., SC'11).  Consequences, relied on throughout:
 Each sample owns a fixed budget of 64-bit words, padded to a multiple of 4 so
 that sample boundaries coincide with Philox counter blocks.
 
-Every Monte Carlo loop runs on the slice engine `over_slices`: lanes (the
-calling thread and a per-process pool) draw `_SLICE`-sample slices into
-scratch borrowed from a per-thread free list and return per-slice partials in
-slice order, so memory is O(lanes x slice) and results do not depend on the CPUs.
+Every Monte Carlo loop runs on the slice engine `over_slices`: the lanes of a
+per-process thread pool draw `_SLICE`-sample slices into scratch borrowed from
+a per-thread free list, and the caller folds the per-slice partials as they
+come, in slice order, so memory is O(lanes x slice) whatever the sample count
+and results do not depend on the CPUs.
 """
 from __future__ import annotations
 
 import operator
 import os
 import threading
+from collections import deque
 from contextlib import contextmanager
+from itertools import starmap
 
 import numpy as np
 
@@ -38,7 +41,7 @@ _SLICE = 1 << 11
 #: Thread pool of each process that has run a multi-lane loop, by process id (a forked child gets no threads).
 _POOLS: dict = {}
 
-#: Per-thread state: `busy` while the thread runs a lane, `free` its idle scratch sets.
+#: Per-thread state: `lane` on the threads of a pool, `free` the thread's idle scratch sets.
 _LANE = threading.local()
 
 
@@ -127,44 +130,35 @@ def _cores() -> int:
         return os.cpu_count() or 1
 
 
-def over_slices(count: int, partial) -> list:
-    """`[partial(a, b) for each _SLICE-sample slice [a, b) of 0 .. count-1]`, on every lane.
+def over_slices(count: int, partial):
+    """Yield `partial(a, b)` for each _SLICE-sample slice [a, b) of 0 .. count-1, in slice order.
 
-    Each lane claims the next slice until none is left, so a lane whose CPU
-    is busy elsewhere holds up at most one slice.  A call from inside a lane
-    runs on that lane alone, so nested calls cannot deadlock.  An exception
-    in any lane reaches the caller once every lane has stopped.
+    Slices run on the calling thread when it is itself a pool lane, so nested
+    calls cannot deadlock, or when there is one CPU or one slice.  Otherwise
+    they run on the pool of this process, one lane per CPU, at most two slices
+    per lane ahead of the consumer.  An exception in a slice cancels the queued
+    slices and reaches the caller once the running ones have stopped.
     """
-    bounds = [(a, min(a + _SLICE, count)) for a in range(0, count, _SLICE)]
-    results = [None] * len(bounds)
-    todo = iter(range(len(bounds)))
-    claim = threading.Lock()
+    slices = ((a, min(a + _SLICE, count)) for a in range(0, count, _SLICE))
+    lanes = _cores()
+    if getattr(_LANE, "lane", False) or lanes == 1 or count <= _SLICE:
+        yield from starmap(partial, slices)
+        return
+    from concurrent.futures import ThreadPoolExecutor, wait  # only multi-lane runs pay for the import
 
-    def lane() -> None:
-        nested = getattr(_LANE, "busy", False)
-        _LANE.busy = True
-        try:
-            while True:
-                with claim:
-                    i = next(todo, None)
-                if i is None:
-                    return
-                results[i] = partial(*bounds[i])
-        finally:
-            _LANE.busy = nested
-
-    lanes = 1 if getattr(_LANE, "busy", False) else min(_cores(), len(bounds))
-    futures = []
-    if lanes > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        pool = _POOLS.get(os.getpid()) or _POOLS.setdefault(os.getpid(), ThreadPoolExecutor(max(_cores() - 1, 1)))
-        futures = [pool.submit(lane) for _ in range(1, lanes)]
+    # the initializer runs on each new pool thread, so it marks that thread alone as a lane
+    pool = _POOLS.get(os.getpid()) or _POOLS.setdefault(
+        os.getpid(), ThreadPoolExecutor(lanes, initializer=setattr, initargs=(_LANE, "lane", True))
+    )
+    ahead = deque()
     try:
-        lane()
+        for s in slices:
+            if len(ahead) == 2 * lanes:
+                yield ahead.popleft().result()
+            ahead.append(pool.submit(partial, *s))
+        while ahead:
+            yield ahead.popleft().result()
     finally:
-        for f in futures:
-            f.exception()  # wait, so that no lane outlives the call
-    for f in futures:
-        f.result()
-    return results
+        for f in ahead:
+            f.cancel()
+        wait(ahead)  # no slice outlives the call

@@ -219,16 +219,17 @@ def haar_batch(n: int, seed: int, start: int, count: int, *, out: np.ndarray | N
     Ginibre matrix, by twice-applied Gram-Schmidt; its first column is then
     divided by its determinant, in closed form with the last column for N <= 4.
 
-    The batch is filled slice by slice on the lanes of `_streams.over_slices`;
-    lanes write disjoint slices and reduce nothing, so the output is the same
-    on any number of CPUs.  `out`, a complex array of shape `(count, n, n)`,
+    The batch is filled slice by slice by `_streams.over_slices`; its lanes
+    write disjoint slices and reduce nothing, so the output is the same on
+    any number of CPUs.  `out`, a complex array of shape `(count, n, n)`,
     receives the samples and is returned.
     """
     n, start, count = _as_index(n, "N", 2), _as_index(start, "start", 0), _as_index(count, "count", 0)
     check_seed(seed)
     if out is None:
         out = np.empty((count, n, n), dtype=complex)
-    over_slices(count, lambda a, b: _haar_slice(n, seed, start + a, out[a:b]))
+    for _ in over_slices(count, lambda a, b: _haar_slice(n, seed, start + a, out[a:b])):
+        pass
     return out
 
 
@@ -478,10 +479,10 @@ def _haar_average(n: int, seed: int, samples: int, f) -> tuple[np.ndarray, np.nd
     """Haar average of `f` over samples `0 .. samples-1`, and the standard errors of its real and imaginary parts.
 
     `f` maps a `(count, n, n)` slice of samples to a `(count, ...)` array of
-    real or complex values.  Each lane keeps only its slices' count, mean and
-    centred sums of squares M2 of the real and imaginary parts; the calling
-    thread merges them in slice order.  Memory does not grow with `samples`,
-    and the result is the same on any number of CPUs.
+    real or complex values.  Each slice yields only its count, mean and
+    centred sums of squares M2 of the real and imaginary parts, and the
+    caller merges them as they come, in slice order.  Memory does not grow
+    with `samples`, and the result is the same on any number of CPUs.
     """
     check_samples(samples)
 

@@ -278,8 +278,8 @@ def moduli_domain_fraction(n: int, samples: int, seed: int) -> float:
     answer is `1/N!`.  For `n == 2` the sphere is the two-point set {-1, +1}
     with exactly one canonical point, so 1/2 is returned without sampling,
     after the same seed and sample-count checks as every other N.
-    Hits are counted slice by slice on every lane of `_streams.over_slices`,
-    so the result is exact and the same on any number of CPUs.
+    Hits are counted slice by slice by `_streams.over_slices` and summed as
+    they come, so the result is exact and the same on any number of CPUs.
     """
     n = _as_index(n, "N", 2)
     check_seed(seed)

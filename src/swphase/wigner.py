@@ -231,11 +231,12 @@ def reconstruct_state(
     """Reconstruct a state from its Wigner function by Haar-averaged kernel weighting.
 
     `wf_sampler` receives a `(count, n, n)` slice of special-unitary matrices
-    (lane scratch: do not keep it) on every lane of `_haar_average`, and
-    returns the Wigner values of the hidden state there.  The estimator is
-    `rho_hat = N * mean_k[ W(U_k) Delta(U_k) ]`, Hermitized by symmetric
-    averaging before being returned, with merged per-slice error sums.  A run
-    with `4 m` samples reuses the first `m` samples of the run with the same seed.
+    (lane scratch: do not keep it) on a lane of `_haar_average`, possibly a
+    pool thread, and returns the Wigner values of the hidden state there.
+    The estimator is `rho_hat = N * mean_k[ W(U_k) Delta(U_k) ]`, Hermitized
+    by symmetric averaging before being returned, with per-slice error sums
+    merged as they come.  A run with `4 m` samples reuses the first `m`
+    samples of the run with the same seed.
     """
     diag = kernel_diagonal(moduli, gell_mann_basis(n))
 

@@ -114,8 +114,8 @@ def test_haar_partition_independent():
 
 
 def test_haar_batch_lanes_match_single_slices(monkeypatch):
-    # the calling thread and the pool lanes claim slices as they go; 3 lanes
-    # also exercise the pool on a host with fewer CPUs
+    # the pool lanes run the slices while the calling thread drains them; 3
+    # lanes also exercise the pool on a host with fewer CPUs
     slice_ = 1 << 11
     for n in range(2, 7):
         for start, count in ((0, slice_ + 1), (7, 3 * slice_ + 5), (0, 1 << 16)):
@@ -135,12 +135,12 @@ def test_haar_batch_rejects_bad_ranges():
 
 
 def test_haar_batch_lane_error_reaches_caller(monkeypatch):
-    # two slices: the calling thread holds its slice until a pool lane has failed on the other
+    # two slices: the lane on slice 0 holds it until the lane on slice 1 has failed
     fill = group._haar_slice
     pool_failed = threading.Event()
 
     def failing(n, seed, start, q):
-        if threading.current_thread() is not threading.main_thread():
+        if start != 0:
             pool_failed.set()
             raise DomainError("failure in a pool lane")
         pool_failed.wait(timeout=30)
@@ -203,11 +203,12 @@ def test_counter_normals_leave_no_large_scratch(monkeypatch):
 
 
 def _peak_rss_mib(samples: int) -> float:
+    # VmHWM, not ru_maxrss: a child's ru_maxrss keeps the RSS of the process that forked it
     code = (
-        "import resource, sys\n"
+        "import sys\n"
         "from swphase import weingarten4_check\n"
         "weingarten4_check(3, (1,) * 8, int(sys.argv[1]), 1)\n"
-        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        "print(next(line.split()[1] for line in open('/proc/self/status') if line.startswith('VmHWM:')))\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     result = subprocess.run(
@@ -217,7 +218,7 @@ def _peak_rss_mib(samples: int) -> float:
     return int(result.stdout) / 1024.0
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux only")
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="VmHWM is read from /proc")
 def test_moment_memory_does_not_grow_with_samples():
     assert _peak_rss_mib(1 << 21) <= 1.10 * _peak_rss_mib(1 << 16)
 

@@ -1,4 +1,7 @@
 """The counter-based substream contract: partition independence and reproducibility."""
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -174,6 +177,34 @@ def test_uniforms_match_word_formula():
 def test_over_slices_in_slice_order(monkeypatch):
     for cores in (1, 3):
         monkeypatch.setattr(_streams, "_cores", lambda: cores)
-        bounds = over_slices(3 * _streams._SLICE + 5, lambda a, b: (a, b))
+        bounds = list(over_slices(3 * _streams._SLICE + 5, lambda a, b: (a, b)))
         assert bounds == [(0, 2048), (2048, 4096), (4096, 6144), (6144, 6149)]
-    assert over_slices(0, lambda a, b: 1 / 0) == []
+    assert list(over_slices(0, lambda a, b: 1 / 0)) == []
+
+
+def test_over_slices_streams_results_and_nests(monkeypatch):
+    # 400 results of 256 KiB, folded as they come: only a few are alive at
+    # once, where a list of them all would take 100 MiB
+    count, size = 400 * _streams._SLICE, 1 << 15
+    for cores in (1, 3):
+        monkeypatch.setattr(_streams, "_cores", lambda: cores)
+        tracemalloc.start()
+        try:
+            starts = [int(r[0]) for r in over_slices(count, lambda a, b: np.full(size, float(a)))]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert starts == list(range(0, count, _streams._SLICE))
+        assert peak <= 16 * 8 * size, (cores, peak)
+    # a single slice runs on the calling thread; a multi-slice call inside it goes to the pool
+    threads = set()
+
+    def inner(a, b):
+        threads.add(threading.current_thread())
+        return a
+
+    outer = list(over_slices(5, lambda a, b: list(over_slices(3 * _streams._SLICE + 5, inner))))
+    assert outer == [[0, 2048, 4096, 6144]] and threading.current_thread() not in threads
+    direct = haar_batch(3, 1, 0, 3 * _streams._SLICE + 5)
+    nested = list(over_slices(5, lambda a, b: haar_batch(3, 1, 0, 3 * _streams._SLICE + 5)))
+    assert len(nested) == 1 and np.array_equal(nested[0], direct)

@@ -223,12 +223,13 @@ def test_engine_results_same_on_any_cpu_count(monkeypatch):
 
 
 def test_sampler_error_in_pool_lane_reaches_caller(monkeypatch):
-    # two slices: the calling thread holds its slice until a pool lane has failed on the other
+    # two slices: the lane on slice 0 holds it until the lane on slice 1 has failed
     monkeypatch.setattr(_streams, "_cores", lambda: 2)
     pool_failed = threading.Event()
+    first = haar_batch(2, 0, 0, 1)[0]  # sample 0 opens slice 0
 
     def sampler(u):
-        if threading.current_thread() is not threading.main_thread():
+        if not np.array_equal(u[0], first):
             pool_failed.set()
             return np.zeros(3)
         pool_failed.wait(timeout=30)
