@@ -38,7 +38,7 @@ _MIN_SAMPLES = 1000  # fewest samples any Monte Carlo estimate accepts
 #: Samples per slice of the engine; small slices keep each lane's scratch small.
 _SLICE = 1 << 11
 
-#: Version of every drawn number and CLI output, in the golden corpus header; bumped by a change that moves one.
+#: Version of the drawn numbers and CLI output, in the golden corpus header; a change that moves one bumps it.
 _STREAM_VERSION = 1
 
 #: Thread pool of each process that has run a multi-lane loop, by process id (a forked child gets no threads).

@@ -11,7 +11,7 @@ their conventional order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -47,15 +47,12 @@ class GellMannBasis:
             raise DomainError(f"generator label must be in 1..{self.dim_n ** 2 - 1}, got {label}")
         return self.generators[label - 1]
 
-    @property
+    @cached_property
     def cartan_diagonals(self) -> np.ndarray:
-        """Real diagonals of the Cartan generators, shape `(N-1, N)`."""
-        return self._cartan_diagonals
-
-    def __post_init__(self):
+        """Real diagonals of the Cartan generators, shape `(N-1, N)`, read-only."""
         diag = np.array([np.diag(self.generators[c - 1]).real for c in self.cartan_indices])
         diag.setflags(write=False)
-        object.__setattr__(self, "_cartan_diagonals", diag)
+        return diag
 
 
 @dataclass(frozen=True)
@@ -72,10 +69,13 @@ def gell_mann_basis(n: int) -> GellMannBasis:
 
     For `n == 2` this yields the three Pauli matrices, for `n == 3` the eight
     Gell-Mann matrices in conventional order.  The result is cached and its
-    arrays are read-only.
+    arrays are read-only.  An N whose `(N**2 - 1, N, N)` array numpy refuses is a `DomainError`.
     """
     n = _as_index(n, "N", 2)
-    mats = np.zeros((n * n - 1, n, n), dtype=complex)
+    try:
+        mats = np.zeros((n * n - 1, n, n), dtype=complex)
+    except (ValueError, MemoryError) as exc:
+        raise DomainError(f"N={n} is too large for its Gell-Mann basis: {exc}") from None
     cartan: list[int] = []
     a = 0
     for s in range(2, n + 1):

@@ -1,12 +1,8 @@
 """Command-line front end.
 
-Subcommands:
-
-* ``spectrum``       -- kernel descriptor (spectrum, multiplicities, flag data).
-* ``moduli-sample``  -- Monte Carlo fundamental-domain fraction of the moduli sphere.
-* ``wigner-eval``    -- Wigner-function values on an inclusive angle grid.
-* ``reconstruct``    -- Monte Carlo state reconstruction from Wigner data.
-* ``verify``         -- the full postulate verification suite.
+The subcommands ``spectrum``, ``moduli-sample``, ``wigner-eval``, ``reconstruct`` and
+``verify`` are one row each of the table in `_build_parser`: name, handler, help and
+argument groups.
 
 All numbers serialize with 17 significant digits so identical configurations produce
 byte-identical output files.  The CSV leaves out ``flag_dims`` of ``spectrum``, ``nu``
@@ -162,34 +158,29 @@ def _parse_floats(text: str) -> list[float]:
 
 def _resolve_moduli(args) -> tuple[ModuliPoint, float | None]:
     """Resolve --nu/--mu into a moduli point; returns the nu value when given."""
-    n = args.n
-    nu = getattr(args, "nu", None)
-    mu = getattr(args, "mu", None)
-    if nu is not None and mu is not None:
+    if args.nu is not None and args.mu is not None:
         raise ValidationError("pass exactly one of --nu and --mu, not both")
-    if nu is not None:
-        if n != 3:
+    if args.nu is not None:
+        if args.n != 3:
             raise ValidationError("--nu selects the qutrit kernel family and needs --n 3")
-        return qutrit_mu(nu), _check_nu(nu)
-    if mu is not None:
-        return moduli_point(n, _parse_floats(mu)), None
-    if n == 2:
+        return qutrit_mu(args.nu), _check_nu(args.nu)
+    if args.mu is not None:
+        return moduli_point(args.n, _parse_floats(args.mu)), None
+    if args.n == 2:
         return moduli_point(2, [1.0]), None
     raise ValidationError("a kernel family member is required: pass --nu (n=3) or --mu")
 
 
 def _resolve_state(args) -> DensityState:
-    inline = getattr(args, "state", None)
-    path = getattr(args, "state_file", None)
-    if (inline is None) == (path is None):
+    if (args.state is None) == (args.state_file is None):
         raise ValidationError("pass exactly one of --state and --state-file")
-    if inline is not None:
-        return rho_from_bloch(args.n, np.asarray(_parse_floats(inline)))
+    if args.state is not None:
+        return rho_from_bloch(args.n, np.asarray(_parse_floats(args.state)))
     try:
-        with open(path) as fh:
+        with open(args.state_file) as fh:
             payload = json.load(fh)
     except ValueError as exc:  # malformed JSON, or bytes that are not text
-        raise ValidationError(f"cannot read state file {path!r}: {exc}") from exc
+        raise ValidationError(f"cannot read state file {args.state_file!r}: {exc}") from exc
     state = state_from_dict(payload)
     if state.dim_n != args.n:
         raise ValidationError(f"state file has n={state.dim_n}, command uses --n {args.n}")
@@ -202,7 +193,7 @@ def _seeded_ball_state(n: int, seed: int) -> DensityState:
     The ball of Bloch radius `1/(N-1)` lies inside the state space for every
     direction, so this construction never fails positivity.
     """
-    direction = counter_normals(seed, 0, 1, n * n - 1)[0]
+    direction = counter_normals(seed, 0, 1, len(gell_mann_basis(n).generators))[0]  # a too-large N fails first
     direction /= np.linalg.norm(direction)
     return rho_from_bloch(n, 0.8 / (n - 1) * direction)
 
@@ -213,29 +204,23 @@ def _seeded_ball_state(n: int, seed: int) -> DensityState:
 
 def cmd_spectrum(args) -> int:
     moduli, nu = _resolve_moduli(args)
-    basis = gell_mann_basis(args.n)
-    spec = spectrum_from_moduli(moduli, basis)
+    spec = spectrum_from_moduli(moduli, gell_mann_basis(args.n))
     multiplicities, flag_dim = isotropy_signature(spec)
     trace_res, purity_res = verify_master(spec)
-    det_inv = qutrit_det_invariant(spec) if args.n == 3 else None
     payload = {
         "n": args.n,
-        "mu": [float(x) for x in moduli.mu],
+        "mu": moduli.mu,
         "nu": nu,
-        "spectrum": [float(x) for x in spec.eigenvalues],
-        "multiplicities": list(multiplicities),
-        "flag_dims": list(spec.flag_dims),
+        "spectrum": spec.eigenvalues,
+        "multiplicities": multiplicities,
+        "flag_dims": spec.flag_dims,
         "flag_dim": flag_dim,
         "degenerate": spec.degenerate,
-        "det_invariant": det_inv,
+        "det_invariant": qutrit_det_invariant(spec) if args.n == 3 else None,
         "trace_residual": trace_res,
         "purity_residual": purity_res,
     }
-    row = _row(
-        n=args.n, mu=moduli.mu, nu=nu, spectrum=spec.eigenvalues, multiplicity=multiplicities, flag_dim=flag_dim,
-        degenerate=spec.degenerate, det_invariant=det_inv, trace_residual=trace_res, purity_residual=purity_res,
-    )
-    _emit(args, payload, row, [row.values()])
+    _emit(args, payload, *_table({"multiplicities": "multiplicity", "flag_dims": None}, payload))
     return 0
 
 
@@ -245,7 +230,7 @@ def _record(check: str, n: int, moduli, samples: int, seed: int, mc: float, targ
     return {
         "check": check,
         "n": n,
-        "moduli": [float(x) for x in moduli],
+        "moduli": moduli,
         "samples": samples,
         "seed": seed,
         "mc": mc,
@@ -264,15 +249,15 @@ def _fraction_record(n: int, moduli, samples: int, seed: int) -> dict:
     return _record("moduli_fraction", n, moduli, samples, seed, mc, target, sigma)
 
 
-def _check_table(*records: dict) -> tuple[dict, list]:
-    """CSV header and rows of check records, each one's `moduli` spread over the columns `mu_1, mu_2, ...`."""
-    rows = [_row(**{"mu" if key == "moduli" else key: value for key, value in r.items()}) for r in records]
+def _table(columns: dict, *records: dict) -> tuple[dict, list]:
+    """CSV header and rows of `records`, each key renamed as `columns` says (None drops it) and spread by `_row`."""
+    rows = [_row(**{columns.get(k, k): v for k, v in r.items() if columns.get(k, k)}) for r in records]
     return rows[0], [row.values() for row in rows]
 
 
 def cmd_moduli_sample(args) -> int:
     record = _fraction_record(args.n, (), args.samples, args.seed)
-    _emit(args, record, *_check_table(record))
+    _emit(args, record, *_table({"moduli": None}, record))
     return 0 if record["pass"] else 1
 
 
@@ -325,7 +310,7 @@ def cmd_wigner_eval(args) -> int:
     columns = [*chart.angles, "w"]
     payload = {
         "n": args.n,
-        "mu": [float(x) for x in moduli.mu],
+        "mu": moduli.mu,
         "nu": nu,
         "chart": chart.name,
         "state": state_as_dict(state),
@@ -344,13 +329,13 @@ def cmd_reconstruct(args) -> int:
     error = float(np.linalg.norm(result.rho_hat - state.rho))
     payload = {
         "n": args.n,
-        "mu": [float(x) for x in moduli.mu],
+        "mu": moduli.mu,
         "nu": nu,
         "samples": args.samples,
         "seed": args.seed,
         "state": state_as_dict(state),
-        "rho_hat_re": [[float(x) for x in row] for row in result.rho_hat.real],
-        "rho_hat_im": [[float(x) for x in row] for row in result.rho_hat.imag],
+        "rho_hat_re": result.rho_hat.real,
+        "rho_hat_im": result.rho_hat.imag,
         "frobenius_error": error,
         "frobenius_error_estimate": result.frobenius_error_estimate,
         "antihermitian_residue": result.antihermitian_residue,
@@ -403,18 +388,42 @@ def cmd_verify(args) -> int:
     all_pass = all(r["pass"] for r in records)
     payload = {
         "n": n,
-        "moduli": [float(x) for x in moduli.mu],
+        "moduli": moduli.mu,
         "samples": samples,
         "seed": seed,
         "checks": records,
         "all_pass": all_pass,
     }
-    _emit(args, payload, *_check_table(*records))
+    _emit(args, payload, *_table({"moduli": "mu"}, *records))
     return 0 if all_pass else 1
 
 
 # --------------------------------------------------------------------------
 # parser
+
+
+#: Argument groups of the subcommands: each a list of (flag, `add_argument` keywords).
+_ARGUMENTS = {
+    "n": [("--n", dict(type=int, required=True, help="Hilbert-space dimension N >= 2"))],
+    "kernel": [
+        ("--nu", dict(type=float, help="qutrit family parameter in [-1, -1/3] (n=3 only)")),
+        ("--mu", dict(help="comma-separated unit moduli vector of length N-1")),
+    ],
+    "mc": [
+        ("--samples", dict(type=int, default=100_000, help="Monte Carlo sample count")),
+        ("--seed", dict(type=int, default=0, help="master seed of the substream scheme")),
+    ],
+    "state": [
+        ("--state", dict(help="comma-separated Bloch vector")),
+        ("--state-file", dict(help="JSON state file {n, bloch}")),
+    ],
+    "output": [
+        ("--output", dict(default="-", help="output file path, or - for stdout")),
+        ("--format", dict(choices=("json", "csv"), default="json")),
+    ],
+    "grid": [("--grid", dict(action="append", metavar="angle=start:stop:count",
+                             help="inclusive grid for one chart angle; may repeat, omitted angles stay at 0"))],
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -423,47 +432,19 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Stratonovich-Weyl kernels and Wigner functions for N-level systems.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp, *, kernel=False, mc=False, state=False):
-        sp.add_argument("--n", type=int, required=True, help="Hilbert-space dimension N >= 2")
-        if kernel:
-            sp.add_argument("--nu", type=float, default=None, help="qutrit family parameter in [-1, -1/3] (n=3 only)")
-            sp.add_argument("--mu", type=str, default=None, help="comma-separated unit moduli vector of length N-1")
-        if mc:
-            sp.add_argument("--samples", type=int, default=100_000, help="Monte Carlo sample count")
-            sp.add_argument("--seed", type=int, default=0, help="master seed of the substream scheme")
-        if state:
-            sp.add_argument("--state", type=str, default=None, help="comma-separated Bloch vector")
-            sp.add_argument("--state-file", type=str, default=None, help="JSON state file {n, bloch}")
-        sp.add_argument("--output", type=str, default="-", help="output file path, or - for stdout")
-        sp.add_argument("--format", choices=("json", "csv"), default="json")
-
-    sp = sub.add_parser("spectrum", help="kernel spectrum descriptor")
-    common(sp, kernel=True)
-    sp.set_defaults(func=cmd_spectrum)
-
-    sp = sub.add_parser("moduli-sample", help="fundamental-domain fraction of the moduli sphere")
-    common(sp, mc=True)
-    sp.set_defaults(func=cmd_moduli_sample)
-
-    sp = sub.add_parser("wigner-eval", help="Wigner values on an angle grid")
-    common(sp, kernel=True, state=True)
-    sp.add_argument(
-        "--grid",
-        action="append",
-        metavar="angle=start:stop:count",
-        help="inclusive grid for one chart angle; may repeat, omitted angles stay at 0",
-    )
-    sp.set_defaults(func=cmd_wigner_eval)
-
-    sp = sub.add_parser("reconstruct", help="Monte Carlo state reconstruction")
-    common(sp, kernel=True, mc=True, state=True)
-    sp.set_defaults(func=cmd_reconstruct)
-
-    sp = sub.add_parser("verify", help="full postulate verification suite")
-    common(sp, kernel=True, mc=True)
-    sp.set_defaults(func=cmd_verify)
-
+    # name, handler, help, argument groups; built per call, so a cmd_* replaced in this module is the one that runs
+    commands = [
+        ("spectrum", cmd_spectrum, "kernel spectrum descriptor", ("n", "kernel", "output")),
+        ("moduli-sample", cmd_moduli_sample, "fundamental-domain fraction of the moduli sphere", ("n", "mc", "output")),
+        ("wigner-eval", cmd_wigner_eval, "Wigner values on an angle grid", ("n", "kernel", "state", "output", "grid")),
+        ("reconstruct", cmd_reconstruct, "Monte Carlo state reconstruction", ("n", "kernel", "mc", "state", "output")),
+        ("verify", cmd_verify, "full postulate verification suite", ("n", "kernel", "mc", "output")),
+    ]
+    for name, func, text, groups in commands:
+        sp = sub.add_parser(name, help=text)
+        for flag, options in (a for group in groups for a in _ARGUMENTS[group]):
+            sp.add_argument(flag, **options)
+        sp.set_defaults(func=func)
     return parser
 
 

@@ -302,7 +302,7 @@ def adjoint_vector(p: PhasePoint, cartan_index: int, basis: GellMannBasis) -> np
     """
     if cartan_index not in basis.cartan_indices:
         raise DomainError(f"label {cartan_index} is not a Cartan label {basis.cartan_indices}")
-    u = p.u
+    u = _unitary(p.u, basis.dim_n, "phase-space matrix")
     return expand_in_basis(u @ basis.generator(cartan_index) @ u.conj().T, basis)[0]
 
 

@@ -123,26 +123,20 @@ def moduli_point(n: int, mu: Sequence[float]) -> ModuliPoint:
     return ModuliPoint(dim_n=n, mu=mu)
 
 
-def _group_eigenvalues(eigs: np.ndarray) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Group a descending eigenvalue list into multiplicities and flag partial sums."""
+def _spectrum(eigs: np.ndarray) -> KernelSpectrum:
+    """`eigs` sorted descending, with neighbours within the degeneracy gap grouped into multiplicities."""
+    eigs = np.sort(np.asarray(eigs, dtype=float))[::-1].copy()
+    eigs.setflags(write=False)
     mult: list[int] = [1]
     for gap in -np.diff(eigs):
         if gap <= TOLERANCES.degeneracy_gap:
             mult[-1] += 1
         else:
             mult.append(1)
-    partial = np.cumsum(mult)[:-1]
-    return tuple(mult), tuple(int(x) for x in partial)
-
-
-def _spectrum(eigs: np.ndarray) -> KernelSpectrum:
-    eigs = np.sort(np.asarray(eigs, dtype=float))[::-1].copy()
-    eigs.setflags(write=False)
-    mult, flags = _group_eigenvalues(eigs)
     return KernelSpectrum(
         eigenvalues=eigs,
-        multiplicities=mult,
-        flag_dims=flags,
+        multiplicities=tuple(mult),
+        flag_dims=tuple(int(x) for x in np.cumsum(mult)[:-1]),
         degenerate=any(k > 1 for k in mult),
     )
 
@@ -308,10 +302,8 @@ def isotropy_signature(spec: KernelSpectrum | Sequence[float]) -> tuple[tuple[in
     2 for a qubit, 6 for a generic qutrit kernel, 4 for the two degenerate
     qutrit kernels.
     """
-    eigs = np.sort(_eigenvalues_of(spec))[::-1]
-    mult, _ = _group_eigenvalues(eigs)
-    n = len(eigs)
-    return mult, int(n * n - sum(k * k for k in mult))
+    mult = _spectrum(_eigenvalues_of(spec)).multiplicities
+    return mult, sum(mult) ** 2 - sum(k * k for k in mult)  # sum(mult) is N
 
 
 def assemble_kernel(p: ModuliPoint, u: np.ndarray, basis: GellMannBasis) -> KernelMatrix:

@@ -98,6 +98,7 @@ def wigner_closed_form(
     `n = sum_s mu_s n^(s**2-1)(U)`; agrees with `wigner_value` on the
     assembled kernel to round-off.
     """
+    kernel_diagonal(p, basis)  # checks that the moduli and the basis share N
     frame = sum(
         mu_s * adjoint_vector(point, label, basis)
         for mu_s, label in zip(p.mu, basis.cartan_indices)
@@ -276,8 +277,8 @@ class NormCheckResult(NamedTuple):
 def check_norm(state: DensityState, moduli: ModuliPoint, samples: int, seed: int) -> NormCheckResult:
     """Monte Carlo check of the norm postulate: the Haar average of `N W` equals `tr(rho) = 1`."""
     n = state.dim_n
-    diag = kernel_diagonal(moduli, gell_mann_basis(n))
-    mc, se = _haar_average(n, seed, samples, lambda u: n * _symbol_batch(_delta_batch(u, diag), state.rho))
+    sampler = state_wf_sampler(state, moduli)
+    mc, se = _haar_average(n, seed, samples, lambda u: n * sampler(u))
     return NormCheckResult(mc=float(mc), sigma=float(se[0]))
 
 
@@ -329,7 +330,7 @@ def check_covariance(
     n = state.dim_n
     basis = gell_mann_basis(n)
     g = _unitary(g, n, "transformation matrix")
-    u = kernel_point.u
+    u = PhasePoint(n, kernel_point.u).u
     special = g / np.linalg.det(g) ** (1.0 / n)
     moved = assemble_kernel(moduli, special @ u, basis).delta
     expected = g @ assemble_kernel(moduli, u, basis).delta @ g.conj().T

@@ -296,6 +296,22 @@ def test_seed_out_of_range(capsys):
     assert code == 2 and "seed" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["moduli-sample", "--n", "100000", "--samples", "1000"],
+        ["verify", "--n", "100000", "--mu=" + ",".join(["1"] + ["0"] * 99998)],
+    ],
+    ids=["moduli-sample", "verify"],
+)
+def test_dimension_too_large_for_its_basis(capsys, argv):
+    # numpy refuses the (N**2 - 1, N, N) basis array at this N before allocating it; verify
+    # builds the basis before it draws its N**2 - 1 state normals
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: N=100000 is too large for its Gell-Mann basis") and err.count("\n") == 1
+
+
 def test_wigner_eval_state_file(tmp_path, capsys):
     path = tmp_path / "state.json"
     path.write_text(json.dumps({"n": 2, "bloch": [0.0, 0.0, 1.0]}))

@@ -20,6 +20,7 @@ from swphase import (
     ModuliPoint,
     PhasePoint,
     ValidationError,
+    adjoint_vector,
     assemble_kernel,
     bloch_from_rho,
     check_covariance,
@@ -35,6 +36,7 @@ from swphase import (
     seeded_hermitian,
     weingarten2_check,
     weingarten4_check,
+    wigner_closed_form,
 )
 from swphase.cli import _parse_grid
 
@@ -93,10 +95,14 @@ def test_validator_cases_accept_their_valid_input(case):
         lambda: check_traciality(np.eye(2), np.eye(2), MODULI, 1000, 1),
         lambda: assemble_kernel(MODULI, np.eye(3), gell_mann_basis(2)),
         lambda: check_norm(rho_from_bloch(2, np.zeros(3)), MODULI, 1000, 1),
+        lambda: check_covariance(rho_from_bloch(2, np.zeros(3)), POINT, moduli_point(2, [1.0]), np.eye(2)),
+        lambda: adjoint_vector(haar_sample(2, 4), 3, gell_mann_basis(3)),
+        lambda: wigner_closed_form(np.zeros(3), moduli_point(2, [1.0]), POINT, gell_mann_basis(3)),
     ],
-    ids=["standardisation", "traciality", "assemble_kernel", "norm"],
+    ids=["standardisation", "traciality", "assemble_kernel", "norm", "covariance", "adjoint_vector", "closed_form"],
 )
 def test_moduli_of_another_dimension_rejected(call):
-    # kernel_diagonal compares the dimensions before numpy multiplies mismatched arrays
+    # the owner of each pair compares the dimensions before numpy multiplies mismatched arrays:
+    # kernel_diagonal for moduli against a basis, PhasePoint and _unitary for a matrix
     with pytest.raises(ValidationError):
         call()
