@@ -193,7 +193,8 @@ def _seeded_ball_state(n: int, seed: int) -> DensityState:
     The ball of Bloch radius `1/(N-1)` lies inside the state space for every
     direction, so this construction never fails positivity.
     """
-    direction = counter_normals(seed, 0, 1, len(gell_mann_basis(n).generators))[0]  # a too-large N fails first
+    # the basis first: an N too large for it fails before N**2 - 1 normals are drawn
+    direction = counter_normals(seed, 0, 1, len(gell_mann_basis(n).generators))[0]
     direction /= np.linalg.norm(direction)
     return rho_from_bloch(n, 0.8 / (n - 1) * direction)
 
