@@ -1,19 +1,20 @@
 """Command-line front end.
 
 The subcommands ``spectrum``, ``moduli-sample``, ``wigner-eval``, ``reconstruct`` and
-``verify`` are one row each of the table in `_build_parser`: name, handler, help and
-argument groups.
+``verify`` are one row each of the table in `_build_parser`: name, help and argument
+groups.  The parser is built once per process.  `main` runs ``cmd_<name>`` (hyphens as
+underscores), looked up in this module at each call, which returns the exit code, the JSON
+payload and the CSV header and rows; only `main` writes them, through `_emit`.
 
 All numbers serialize with 17 significant digits so identical configurations produce
-byte-identical output files.  The CSV leaves out ``flag_dims`` of ``spectrum``, ``nu``
-and ``state`` of ``reconstruct``, ``all_pass`` of ``verify`` and ``n``, ``mu``, ``nu``,
-``chart`` and ``state`` of ``wigner-eval``.  Exit codes: 0 on success (and all checks
-passing), 1 when a verification suite fails, 2 on usage or domain errors.
+byte-identical output files.  Exit codes: 0 on success (and all checks passing), 1 when
+a verification suite fails, 2 on usage or domain errors.
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import sys
@@ -203,7 +204,7 @@ def _seeded_ball_state(n: int, seed: int) -> DensityState:
 # subcommands
 
 
-def cmd_spectrum(args) -> int:
+def cmd_spectrum(args) -> tuple:
     moduli, nu = _resolve_moduli(args)
     spec = spectrum_from_moduli(moduli, gell_mann_basis(args.n))
     multiplicities, flag_dim = isotropy_signature(spec)
@@ -221,8 +222,7 @@ def cmd_spectrum(args) -> int:
         "trace_residual": trace_res,
         "purity_residual": purity_res,
     }
-    _emit(args, payload, *_table({"multiplicities": "multiplicity", "flag_dims": None}, payload))
-    return 0
+    return 0, payload, *_table({"multiplicities": "multiplicity", "flag_dims": None}, payload)
 
 
 def _record(check: str, n: int, moduli, samples: int, seed: int, mc: float, target: float, sigma: float) -> dict:
@@ -256,10 +256,9 @@ def _table(columns: dict, *records: dict) -> tuple[dict, list]:
     return rows[0], [row.values() for row in rows]
 
 
-def cmd_moduli_sample(args) -> int:
+def cmd_moduli_sample(args) -> tuple:
     record = _fraction_record(args.n, (), args.samples, args.seed)
-    _emit(args, record, *_table({"moduli": None}, record))
-    return 0 if record["pass"] else 1
+    return 0 if record["pass"] else 1, record, *_table({"moduli": None}, record)
 
 
 #: Largest wigner-eval grid, in points; its angles and values are held as one float array.
@@ -297,7 +296,7 @@ def _parse_grid(specs: Sequence[str] | None, allowed: Sequence[str]) -> dict[str
     return {name: np.linspace(*axes[name]) if name in axes else np.zeros(1) for name in allowed}
 
 
-def cmd_wigner_eval(args) -> int:
+def cmd_wigner_eval(args) -> tuple:
     state = _resolve_state(args)
     moduli, nu = _resolve_moduli(args)
     chart = kernel_chart(moduli)
@@ -318,11 +317,10 @@ def cmd_wigner_eval(args) -> int:
         "columns": columns,
         "rows": rows,
     }
-    _emit(args, payload, columns, rows)
-    return 0
+    return 0, payload, columns, rows
 
 
-def cmd_reconstruct(args) -> int:
+def cmd_reconstruct(args) -> tuple:
     state = _resolve_state(args)
     moduli, nu = _resolve_moduli(args)
     sampler = state_wf_sampler(state, moduli)
@@ -346,11 +344,10 @@ def cmd_reconstruct(args) -> int:
         rho_im=result.rho_hat.imag, frobenius_error=error, frobenius_error_estimate=result.frobenius_error_estimate,
         antihermitian_residue=result.antihermitian_residue,
     )
-    _emit(args, payload, row, [row.values()])
-    return 0
+    return 0, payload, row, [row.values()]
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple:
     moduli, _ = _resolve_moduli(args)
     n, samples, seed = args.n, args.samples, args.seed
     if samples < _MOMENT_MIN_SAMPLES:
@@ -395,8 +392,7 @@ def cmd_verify(args) -> int:
         "checks": records,
         "all_pass": all_pass,
     }
-    _emit(args, payload, *_table({"moduli": "mu"}, *records))
-    return 0 if all_pass else 1
+    return 0 if all_pass else 1, payload, *_table({"moduli": "mu"}, *records)
 
 
 # --------------------------------------------------------------------------
@@ -427,32 +423,34 @@ _ARGUMENTS = {
 }
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="swphase",
         description="Stratonovich-Weyl kernels and Wigner functions for N-level systems.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # name, handler, help, argument groups; built per call, so a cmd_* replaced in this module is the one that runs
+    # name, help, argument groups; `main` runs cmd_<name>, looked up when it is called
     commands = [
-        ("spectrum", cmd_spectrum, "kernel spectrum descriptor", ("n", "kernel", "output")),
-        ("moduli-sample", cmd_moduli_sample, "fundamental-domain fraction of the moduli sphere", ("n", "mc", "output")),
-        ("wigner-eval", cmd_wigner_eval, "Wigner values on an angle grid", ("n", "kernel", "state", "output", "grid")),
-        ("reconstruct", cmd_reconstruct, "Monte Carlo state reconstruction", ("n", "kernel", "mc", "state", "output")),
-        ("verify", cmd_verify, "full postulate verification suite", ("n", "kernel", "mc", "output")),
+        ("spectrum", "kernel spectrum descriptor", ("n", "kernel", "output")),
+        ("moduli-sample", "fundamental-domain fraction of the moduli sphere", ("n", "mc", "output")),
+        ("wigner-eval", "Wigner values on an angle grid", ("n", "kernel", "state", "output", "grid")),
+        ("reconstruct", "Monte Carlo state reconstruction", ("n", "kernel", "mc", "state", "output")),
+        ("verify", "full postulate verification suite", ("n", "kernel", "mc", "output")),
     ]
-    for name, func, text, groups in commands:
+    for name, text, groups in commands:
         sp = sub.add_parser(name, help=text)
         for flag, options in (a for group in groups for a in _ARGUMENTS[group]):
             sp.add_argument(flag, **options)
-        sp.set_defaults(func=func)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code, payload, header, rows = globals()["cmd_" + args.command.replace("-", "_")](args)
+        _emit(args, payload, header, rows)
+        return code
     except (SWPhaseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
