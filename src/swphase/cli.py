@@ -152,7 +152,7 @@ def _emit(args, payload: dict, header: Iterable[str], rows) -> None:
 
 def _parse_floats(text: str) -> list[float]:
     try:
-        return [float(x) for x in text.split(",") if x.strip() != ""]
+        return [float(x) for x in text.split(",")]  # an empty or blank field does not parse
     except ValueError as exc:
         raise ValidationError(f"cannot parse float list {text!r}: {exc}") from exc
 
@@ -430,7 +430,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Stratonovich-Weyl kernels and Wigner functions for N-level systems.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # name, help, argument groups; `main` runs cmd_<name>, looked up when it is called
+    # name, help, argument groups; no handler, as `main` looks cmd_<name> up per call, so a replaced one runs
     commands = [
         ("spectrum", "kernel spectrum descriptor", ("n", "kernel", "output")),
         ("moduli-sample", "fundamental-domain fraction of the moduli sphere", ("n", "mc", "output")),

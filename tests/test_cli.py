@@ -675,3 +675,55 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--n", "3", "--mu", "0.6,,0.8"],
+        ["spectrum", "--n", "3", "--mu", "0.6,0.8,"],
+        ["wigner-eval", "--n", "2", "--state", "0.3,,-0.2,0.5"],
+        ["wigner-eval", "--n", "2", "--state", "0.3,-0.2,0.5,"],
+    ],
+    ids=["mu middle", "mu end", "state middle", "state end"],
+)
+def test_comma_list_rejects_empty_field(capsys, argv):
+    # an empty field is not dropped: 0.3,,-0.2,0.5 is not the Bloch vector (0.3, -0.2, 0.5)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "cannot parse float list" in err
+
+
+def test_parser_built_once_per_process(monkeypatch, capsys):
+    import argparse
+
+    argv = ["wigner-eval", "--n", "2", "--state", "0,0,1", "--grid", "beta=0:1:3"]
+    assert main(argv) == 0
+    built, construct = [], argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        construct(self, *args, **kwargs)
+
+    # patched on the class, whose __init__ argparse looks up by name, so subparsers count too
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert main(argv) == 0 and main(argv) == 0
+    capsys.readouterr()
+    assert built == []
+
+
+def test_handler_replaced_after_first_call_runs(monkeypatch, capsys):
+    # the parser is cached, so it must not hold the handlers: a cmd_* replaced later is the one that runs
+    import swphase.cli
+
+    argv = ["spectrum", "--n", "3", "--nu=-0.5", "--format", "csv"]
+    unwrapped = run(capsys, *argv)
+    original, calls = swphase.cli.cmd_spectrum, []
+
+    def wrapper(args):
+        calls.append(args.command)
+        return original(args)
+
+    monkeypatch.setattr(swphase.cli, "cmd_spectrum", wrapper)
+    assert run(capsys, *argv) == unwrapped
+    assert calls == ["spectrum"]
