@@ -15,7 +15,8 @@ Every Monte Carlo loop runs on the slice engine `over_slices`: the lanes of a
 per-process thread pool draw `_SLICE`-sample slices into scratch borrowed from
 a per-thread free list, and the caller folds the per-slice partials as they
 come, in slice order, so memory is O(lanes x slice) whatever the sample count
-and results do not depend on the CPUs.
+and results do not depend on the CPUs.  Haar slices are laid out batch-last,
+`(..., count)` in memory, so that numpy's inner loops run over the samples.
 """
 from __future__ import annotations
 

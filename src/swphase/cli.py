@@ -144,6 +144,7 @@ def _emit(args, payload: dict, header: Iterable[str], rows) -> None:
     with contextlib.nullcontext(sys.stdout) if args.output == "-" else open(args.output, "w", newline="\n") as fh:
         fh.writelines(pieces)
         fh.write("\n")
+        fh.flush()  # a closed pipe raises here, inside `main`, rather than at interpreter exit
 
 
 # --------------------------------------------------------------------------
@@ -450,10 +451,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         code, payload, header, rows = globals()["cmd_" + args.command.replace("-", "_")](args)
         _emit(args, payload, header, rows)
-        return code
+    except BrokenPipeError:  # the reader left early, as `| head` does: the command itself succeeded
+        if args.output == "-":
+            sys.stdout = None  # so that the flush at interpreter exit has no closed pipe to write to
     except (SWPhaseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return code
 
 
 if __name__ == "__main__":

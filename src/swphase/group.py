@@ -9,7 +9,9 @@ built by classical Gram-Schmidt applied twice, vectorised over the batch,
 with the last column and the determinant in closed form for N <= 4.
 Sampling follows the counter-based substream contract of `_streams`, so the
 samples are independent of batching: sample `k` is the same in any batch,
-and whichever thread fills it.
+and whichever thread fills it.  Monte Carlo slices are batch-last: memory
+`(N, N, count)` seen as `(count, N, N)`, so the per-sample einsums loop over
+the samples innermost; `haar_batch` still returns C-ordered arrays.
 """
 from __future__ import annotations
 
@@ -178,17 +180,17 @@ def _orthonormalize(g: np.ndarray) -> np.ndarray:
     count, n = len(g), g.shape[-1]
     cols = n - 1 if n <= 4 else n
     with lane_buffers() as scratch:
-        # temporaries in lane scratch, laid out as fresh arrays would be, so the bits do not change
+        # temporaries in lane scratch, batch-last, so that each einsum loops over the samples innermost
         rows = scratch.take((cols + 3) * count * n, complex).reshape(cols + 3, count * n)
-        qc, (c, t, w) = rows[:cols].reshape(-1), rows[cols:]
+        qc, (c, t, w) = rows[:cols].reshape(-1), (r.reshape(n, count).T for r in rows[cols:])
         for j in range(cols):
             v = g[:, :, j]
             if j:
                 q = g[:, :, :j]
-                qcj = np.conjugate(q, out=qc[: count * n * j].reshape(count, n, j))
+                qcj = np.conjugate(q, out=qc[: count * n * j].reshape(n, j, count).transpose(2, 0, 1))
                 for _ in range(2):
-                    cj = np.einsum("kil,ki->kl", qcj, v, out=c[: count * j].reshape(count, j))
-                    v = np.subtract(v, np.einsum("kil,kl->ki", q, cj, out=t.reshape(count, n)), out=w.reshape(count, n))
+                    cj = np.einsum("kil,ki->kl", qcj, v, out=c[:, :j])
+                    v = np.subtract(v, np.einsum("kil,kl->ki", q, cj, out=t), out=w)
             norm = np.sqrt(np.einsum("ki,ki->k", v.real, v.real) + np.einsum("ki,ki->k", v.imag, v.imag))
             np.divide(v, norm[:, None], out=g[:, :, j])
     if cols == n:
@@ -478,17 +480,19 @@ def _merge_moments(a: tuple, b: tuple) -> tuple:
 def _haar_average(n: int, seed: int, samples: int, f) -> tuple[np.ndarray, np.ndarray]:
     """Haar average of `f` over samples `0 .. samples-1`, and the standard errors of its real and imaginary parts.
 
-    `f` maps a `(count, n, n)` slice of samples to a `(count, ...)` array of
-    real or complex values.  Each slice yields only its count, mean and
-    centred sums of squares M2 of the real and imaginary parts, and the
-    caller merges them as they come, in slice order.  Memory does not grow
-    with `samples`, and the result is the same on any number of CPUs.
+    `f` maps a batch-last `(count, n, n)` slice of samples, lane scratch that
+    `f` may overwrite, to a `(count, ...)` array of real or complex values.
+    Each slice yields only its count, mean and centred sums of squares M2 of
+    the real and imaginary parts, and the caller merges them as they come, in
+    slice order.  Memory does not grow with `samples`, and the result is the
+    same on any number of CPUs.
     """
     check_samples(samples)
 
     def partial(a: int, b: int) -> tuple:
         with lane_buffers() as scratch:
-            v = f(haar_batch(n, seed, a, b - a, out=scratch.take((b - a) * n * n, complex).reshape(b - a, n, n)))
+            u = scratch.take((b - a) * n * n, complex).reshape(n, n, b - a).transpose(2, 0, 1)
+            v = f(haar_batch(n, seed, a, b - a, out=u))
             m = v.mean(axis=0)
             d = v - m
         return b - a, m, np.array([np.square(d.real).sum(axis=0), np.square(d.imag).sum(axis=0)])

@@ -15,6 +15,7 @@ contract: samples are seed-reproducible and independent of batch layout.
 from __future__ import annotations
 
 import math
+from functools import reduce
 from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
@@ -182,13 +183,13 @@ def chart_wf(
 
 
 def _delta_batch(u: np.ndarray, diag: np.ndarray) -> np.ndarray:
-    """Kernels `U P U^dag` for a batch of unitaries, shape `(count, n, n)`."""
+    """Kernels `U P U^dag` for a batch of unitaries, shape `(count, n, n)`, laid out like `u`."""
     return np.einsum("kij,j,klj->kil", u, diag, u.conj())
 
 
 def _symbol_batch(delta: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Symbols `tr(A Delta_k)` for a batch of kernels (real part)."""
-    return np.einsum("kil,li->k", delta, a).real
+    """Symbols `tr(A Delta_k)` for a batch of kernels (real part): row sums added in row order, in any layout."""
+    return reduce(np.add, np.einsum("kil,li->ik", delta, a)).real
 
 
 def state_wf_sampler(
@@ -231,9 +232,9 @@ def reconstruct_state(
 ) -> ReconstructionResult:
     """Reconstruct a state from its Wigner function by Haar-averaged kernel weighting.
 
-    `wf_sampler` receives a `(count, n, n)` slice of special-unitary matrices
-    (lane scratch: do not keep it) on a lane of `_haar_average`, possibly a
-    pool thread, and returns the Wigner values of the hidden state there.
+    `wf_sampler` receives a batch-last `(count, n, n)` slice of special-unitary
+    matrices (lane scratch: do not keep it) on a lane of `_haar_average`,
+    possibly a pool thread, and returns the Wigner values of the hidden state there.
     The estimator is `rho_hat = N * mean_k[ W(U_k) Delta(U_k) ]`, Hermitized
     by symmetric averaging before being returned, with per-slice error sums
     merged as they come.  A run with `4 m` samples reuses the first `m`
@@ -245,7 +246,9 @@ def reconstruct_state(
         w = np.asarray(wf_sampler(u), dtype=float)
         if w.shape != (len(u),):
             raise ValidationError(f"wf_sampler returned shape {w.shape}, expected ({len(u)},)")
-        return n * w[:, None, None] * _delta_batch(u, diag)
+        delta = _delta_batch(u, diag)
+        # into the memory of `u`, unused once the kernels are built; C-ordered, so the mean adds the samples in order
+        return np.multiply(n * w[:, None, None], delta, out=u.transpose(1, 2, 0).reshape(u.shape))
 
     mean, se = _haar_average(n, seed, samples, terms)
     estimate = math.sqrt(float(np.square(se).sum()))

@@ -623,6 +623,20 @@ def test_outputs_byte_identical(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_closed_pipe_is_not_an_error():
+    # the reader closes its end after one line, as `| head -1` does: no message, and the
+    # command's own exit code; the 90,000 rows overflow the pipe, so the write meets the closed end
+    argv = ["wigner-eval", "--n", "2", "--state", "0,0,1", "--grid", "alpha=0:1:300", "--grid", "beta=0:1:300",
+            "--format", "csv"]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.Popen([sys.executable, "-m", "swphase.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"alpha,beta,w\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (0, b"")
+
+
 def test_commands_without_sampling_skip_scipy_special():
     # scipy.special is needed only to draw normals and concurrent.futures only to
     # draw Haar batches on several CPUs; a fresh process shows what was imported

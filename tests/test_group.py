@@ -185,6 +185,18 @@ def test_haar_batch_returns_no_lane_buffer():
     assert haar_batch(3, 1, 0, 100, out=out) is out and np.array_equal(out, kept)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_haar_batch_batch_last_matches_c_order(n):
+    # the Monte Carlo slices are batch-last views; N=5 takes the LAPACK determinant, and the
+    # count leaves a 5-sample tail slice
+    count = _streams._SLICE + 5
+    batch = haar_batch(n, 8, 3, count)
+    assert batch.flags.c_contiguous
+    out = np.empty((n, n, count), dtype=complex).transpose(2, 0, 1)
+    assert haar_batch(n, 8, 3, count, out=out) is out
+    assert np.array_equal(out, batch)
+
+
 def test_counter_normals_leave_no_large_scratch(monkeypatch):
     # on a fresh thread with one lane: a large direct draw allocates its own
     # array, and the engine's scratch never holds more than one slice

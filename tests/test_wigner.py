@@ -309,6 +309,33 @@ def test_norm_sigma_matches_two_pass_std():
     assert result.sigma == pytest.approx(values.std() / math.sqrt(samples), rel=1e-6)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+def test_kernel_and_symbol_bits_do_not_depend_on_layout(n):
+    # the Monte Carlo slices are batch-last views; the symbols keep the bits of the
+    # C-ordered `tr(A Delta)` einsum the golden corpus was made with
+    u = haar_batch(n, 2, 0, 300)
+    view = np.empty((n, n, len(u)), dtype=complex).transpose(2, 0, 1)
+    view[...] = u
+    diag = np.linspace(1.0, -0.5, n)
+    a = seeded_hermitian(n, 5)
+    delta, moved = _delta_batch(u, diag), _delta_batch(view, diag)
+    assert np.array_equal(moved, delta)
+    symbols = np.einsum("kil,li->k", delta, a).real
+    assert np.array_equal(_symbol_batch(delta, a), symbols) and np.array_equal(_symbol_batch(moved, a), symbols)
+
+
+def test_reconstruction_sums_c_ordered_terms():
+    # one slice: the estimate is the plain mean of the C-ordered terms, bit for bit, whatever
+    # the layout the slice is drawn in
+    p, state, samples = qutrit_mu(-0.5), rho_from_bloch(3, np.full(8, 0.1)), 2000
+    u = haar_batch(3, 6, 0, samples)
+    diag = kernel_diagonal(p, B3)
+    w = _symbol_batch(_delta_batch(u, diag), state.rho)
+    mean = (3 * w[:, None, None] * _delta_batch(u, diag)).mean(axis=0)
+    rho_hat = reconstruct_state(state_wf_sampler(state, p), 3, p, samples, 6).rho_hat
+    assert np.array_equal(rho_hat, (mean + mean.conj().T) / 2.0)
+
+
 def test_norm_check_statistical():
     state = rho_from_bloch(3, ball_vector(np.random.default_rng(1), 8, 0.45))
     result = check_norm(state, qutrit_mu(-1.0 / 3.0), 30_000, seed=1)
