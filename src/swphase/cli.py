@@ -85,9 +85,11 @@ def _blocks(rows, row_text, lead: str, sep: str, end: str, between: str) -> Iter
     for first in range(0, len(rows), _BLOCK_ROWS):
         block = rows[first:first + _BLOCK_ROWS]
         if isinstance(block, np.ndarray) and np.isfinite(block).all():
-            # one template of `lead`, values joined by `sep`, `end`: `%.17g` spells finite floats as `_scalar` does
-            text = between.join([lead + sep.join(["%.17g"] * block.shape[1]) + end] * len(block))
-            text %= tuple(block.ravel().tolist())
+            # each distinct float64 (by bits: -0.0 is not 0.0) spelled once by `%.17g`, then placed by a `%s` template
+            bits, inverse = np.unique(np.ascontiguousarray(block, np.float64).view(np.uint64), return_inverse=True)
+            words = np.array(("%.17g " * len(bits) % tuple(bits.view(np.float64).tolist())).split(), dtype=object)
+            text = between.join([lead + sep.join(["%s"] * block.shape[1]) + end] * len(block))
+            text %= tuple(words[inverse.ravel()])
         else:
             text = between.join([row_text(r) for r in block])
         yield (between if first else "\n") + text
@@ -305,7 +307,7 @@ def cmd_wigner_eval(args) -> tuple:
     mesh = [m.reshape(-1) for m in np.meshgrid(*(grids[name] for name in chart.angles), indexing="ij")]
     # --nu goes in as nu: like qutrit_wf, the values then take their moduli from wigner.qutrit_mu,
     # which the wrong-kernel self-test of perfbench replaces
-    w = chart_wf(state.bloch, moduli if nu is None else nu, chart, dict(zip(chart.angles, mesh)))
+    w = chart_wf(state, moduli if nu is None else nu, chart, dict(zip(chart.angles, mesh)))
     rows = np.column_stack([*mesh, w])
 
     columns = [*chart.angles, "w"]

@@ -169,17 +169,20 @@ def kernel_chart(p: ModuliPoint) -> EulerChart:
 
 
 def chart_wf(
-    xi: np.ndarray, kernel: ModuliPoint | float, chart: EulerChart, angles: Mapping[str, np.ndarray]
+    xi: np.ndarray | DensityState, kernel: ModuliPoint | float, chart: EulerChart, angles: Mapping[str, np.ndarray]
 ) -> float | np.ndarray:
     """Closed-form Wigner values at chart points, broadcasting over array angles.
 
     `kernel` is a moduli point, or a qutrit family parameter taken through
-    `qutrit_mu` as in `qutrit_wf`.  The Bloch vector and the angle ranges
-    are checked once for all points; omitted angles are 0.
+    `qutrit_mu` as in `qutrit_wf`.  `xi` is a Bloch vector, checked here, or a
+    `DensityState`, taken as built.  The angle ranges are checked once for all
+    points; omitted angles are 0.
     """
     p = kernel if isinstance(kernel, ModuliPoint) else qutrit_mu(kernel)
-    xi = rho_from_bloch(p.dim_n, xi).bloch
-    return _closed_form(xi, chart.frame(p.mu, (EulerSU2 if p.dim_n == 2 else EulerSU3)(**angles)))
+    state = xi if isinstance(xi, DensityState) else rho_from_bloch(p.dim_n, xi)
+    if state.dim_n != p.dim_n:
+        raise ValidationError(f"state dimension {state.dim_n} != kernel dimension {p.dim_n}")
+    return _closed_form(state.bloch, chart.frame(p.mu, (EulerSU2 if p.dim_n == 2 else EulerSU3)(**angles)))
 
 
 def _delta_batch(u: np.ndarray, diag: np.ndarray) -> np.ndarray:

@@ -11,6 +11,8 @@ import warnings
 import numpy as np
 import pytest
 
+import swphase.cli
+import swphase.wigner
 from swphase import (
     EulerSU2,
     EulerSU3,
@@ -201,6 +203,20 @@ def test_wigner_eval_rejects_bad_inputs(capsys):
         "--grid", "alpha=0:1:100000", "--grid", "beta=0:1:100000",
     )
     assert code == 2 and "10000000000 points" in err
+
+
+def test_wigner_eval_builds_its_state_once(monkeypatch, capsys):
+    # the state from --state is checked in the CLI; chart_wf takes it as built
+    calls = []
+
+    def counted(n, xi):
+        calls.append(n)
+        return rho_from_bloch(n, xi)
+
+    for module in (swphase.cli, swphase.wigner):
+        monkeypatch.setattr(module, "rho_from_bloch", counted)
+    code, _, _ = run(capsys, "wigner-eval", "--n", "3", "--nu=-0.5", "--state", "0,0,0,0,0,0,0,0.3", "--grid", "b=0:1:3")
+    assert code == 0 and calls == [3]
 
 
 def test_wigner_eval_rejects_overflowing_span(capsys):
@@ -559,6 +575,21 @@ def test_non_finite_array_block_spellings():
     table[-1, 0] = math.nan
     assert _render_json({"rows": table}) == _render_json({"rows": table.tolist()})
     assert _render_csv(["a", "b"], table) == _render_csv(["a", "b"], table.tolist())
+
+
+def test_array_blocks_spell_each_distinct_value_as_lists_do():
+    # both zeros in every block (equal as floats, apart by bits), repeats, the smallest subnormal and huge values
+    values = [0.0, -0.0, 0.1, 5e-324, -5e-324, 1e300, -1e300, 0.1, 1.0 / 3.0, -0.0, 2.5]
+    table = np.resize(values, 3 * (_BLOCK_ROWS + 7)).reshape(-1, 3)
+    assert _render_json({"rows": table}) == _render_json({"rows": table.tolist()})
+    assert _render_csv(["a", "b", "c"], table) == _render_csv(["a", "b", "c"], table.tolist())
+    # integer and float32 tables spell their values as float64 (an int's bits read as a float would be subnormal)
+    assert _render_csv(["a", "b", "c"], np.arange(6).reshape(2, 3)) == "a,b,c\n0,1,2\n3,4,5"
+    assert _render_json(np.arange(6).reshape(2, 3)) == "[\n  [0, 1, 2],\n  [3, 4, 5]\n]"
+    single = np.array([[0.1, -0.0, 3e38], [1e-45, 2.5, -7.0]], dtype=np.float32)
+    text = "0.10000000149011612, -0, 3.0000000054977558e+38],\n  [1.4012984643248171e-45, 2.5, -7"
+    assert _render_json(single) == "[\n  [" + text + "]\n]"
+    assert _render_csv(["a", "b", "c"], single) == "a,b,c\n" + text.replace(", ", ",").replace("],\n  [", "\n")
 
 
 @pytest.mark.parametrize("size", [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 3])

@@ -159,6 +159,18 @@ def test_adapted_chart_matches_trace_form(seed):
     assert got == pytest.approx(w, abs=1e-12)
 
 
+def test_chart_wf_takes_a_built_state_or_checks_a_vector():
+    qubit = moduli_point(2, [1.0])
+    chart = kernel_chart(qubit)
+    angles = dict(alpha=np.linspace(0.0, 6.0, 5), beta=np.full(5, 0.7))
+    xi = np.array([0.1, -0.2, 0.3])
+    assert np.array_equal(chart_wf(rho_from_bloch(2, xi), qubit, chart, angles), chart_wf(xi, qubit, chart, angles))
+    with pytest.raises(InvalidStateError):
+        chart_wf(np.array([0.0, 0.0, 2.0]), qubit, chart, angles)
+    with pytest.raises(ValidationError, match="dimension"):
+        chart_wf(rho_from_bloch(3, np.zeros(8)), qubit, chart, angles)
+
+
 def test_qutrit_wf_rejects_bad_inputs():
     with pytest.raises(InvalidStateError):
         qutrit_wf(np.ones(8), -0.5, EulerSU3(), B3)
