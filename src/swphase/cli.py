@@ -84,7 +84,7 @@ def _blocks(rows, row_text, lead: str, sep: str, end: str, between: str) -> Iter
     """Rows, each `row_text(row)`, joined by `between`, `_BLOCK_ROWS` to a piece opened by a newline or `between`."""
     for first in range(0, len(rows), _BLOCK_ROWS):
         block = rows[first:first + _BLOCK_ROWS]
-        if isinstance(block, np.ndarray) and np.isfinite(block).all():
+        if isinstance(block, np.ndarray) and block.dtype.kind == "f" and np.isfinite(block).all():
             # each distinct float64 (by bits: -0.0 is not 0.0) spelled once by `%.17g`, then placed by a `%s` template
             bits, inverse = np.unique(np.ascontiguousarray(block, np.float64).view(np.uint64), return_inverse=True)
             words = np.array(("%.17g " * len(bits) % tuple(bits.view(np.float64).tolist())).split(), dtype=object)
@@ -268,7 +268,7 @@ def cmd_moduli_sample(args) -> tuple:
 _MAX_GRID_POINTS = 10**6
 
 
-def _parse_grid(specs: Sequence[str] | None, allowed: Sequence[str]) -> dict[str, np.ndarray]:
+def _parse_grid(specs: Sequence[str] | None, allowed: Sequence[str]) -> tuple[np.ndarray, ...]:
     axes = {}
     for spec in specs or ():
         name, _, rest = spec.partition("=")
@@ -295,20 +295,19 @@ def _parse_grid(specs: Sequence[str] | None, allowed: Sequence[str]) -> dict[str
     size = math.prod(count for _, _, count in axes.values())
     if size > _MAX_GRID_POINTS:
         raise DomainError(f"grid of {size} points exceeds the limit of {_MAX_GRID_POINTS}")
-    # inclusive of both endpoints; omitted angles stay at 0
-    return {name: np.linspace(*axes[name]) if name in axes else np.zeros(1) for name in allowed}
+    # inclusive of both endpoints, omitted angles at 0; an open mesh, so a closed form takes each sine once per value
+    return np.ix_(*(np.linspace(*axes[name]) if name in axes else np.zeros(1) for name in allowed))
 
 
 def cmd_wigner_eval(args) -> tuple:
     state = _resolve_state(args)
     moduli, nu = _resolve_moduli(args)
     chart = kernel_chart(moduli)
-    grids = _parse_grid(args.grid, chart.angles)
-    mesh = [m.reshape(-1) for m in np.meshgrid(*(grids[name] for name in chart.angles), indexing="ij")]
+    axes = _parse_grid(args.grid, chart.angles)
     # --nu goes in as nu: like qutrit_wf, the values then take their moduli from wigner.qutrit_mu,
     # which the wrong-kernel self-test of perfbench replaces
-    w = chart_wf(state, moduli if nu is None else nu, chart, dict(zip(chart.angles, mesh)))
-    rows = np.column_stack([*mesh, w])
+    w = chart_wf(state, moduli if nu is None else nu, chart, dict(zip(chart.angles, axes)))
+    rows = np.column_stack([*(np.broadcast_to(axis, w.shape).ravel() for axis in axes), w.ravel()])
 
     columns = [*chart.angles, "w"]
     payload = {

@@ -75,8 +75,8 @@ class EulerSU3:
     non-finite angle raises `ValidationError`; finite angles outside these
     ranges only trigger a warning: the closed-form identities in
     this module hold for all real angles, and tests sweep freely.  Angles may
-    be arrays of one shape; the closed forms then return one frame vector per
-    point, on the last axis, and the range check runs once for all points.
+    be arrays that broadcast together, an open mesh's axes; the closed forms
+    then return one frame vector per point, and ranges are checked per array.
     """
 
     alpha: float = 0.0

@@ -86,8 +86,9 @@ def wigner_value(state: DensityState, kernel: KernelMatrix) -> float:
 def _closed_form(xi: np.ndarray, frame: np.ndarray) -> float | np.ndarray:
     """`(1/N)[1 + (N**2-1)/sqrt(N+1) * (n, xi)]` for a frame `n` of shape `(..., N**2-1)`."""
     n = math.isqrt(xi.size + 1)
-    w = (1.0 + (n * n - 1.0) / math.sqrt(n + 1.0) * (frame @ xi)) / n
-    return float(w) if np.ndim(w) == 0 else w
+    # one (points, N**2-1) product for any frame: a stacked N-d matmul takes another loop and moves last bits
+    w = (1.0 + (n * n - 1.0) / math.sqrt(n + 1.0) * (frame.reshape(-1, xi.size) @ xi)) / n
+    return float(w[0]) if frame.ndim == 1 else w.reshape(frame.shape[:-1])
 
 
 def wigner_closed_form(

@@ -55,6 +55,17 @@ def test_cartan_labels_are_squares_minus_one(n):
         np.testing.assert_allclose(row, np.diag(g.generator(label)).real, atol=0)
 
 
+@pytest.mark.parametrize("n", range(2, 13))
+def test_cartan_diagonals_closed_form(n):
+    # the diagonal of generator s**2 - 1 is sqrt(2/(s(s-1))) (1, ..., 1, -(s-1), 0, ..., 0), with s-1 ones
+    expected = np.zeros((n - 1, n))
+    for s in range(2, n + 1):
+        expected[s - 2, : s - 1] = 1.0
+        expected[s - 2, s - 1] = -(s - 1.0)
+        expected[s - 2] *= np.sqrt(2.0 / (s * (s - 1)))
+    np.testing.assert_allclose(gell_mann_basis(n).cartan_diagonals, expected, rtol=0, atol=1e-15)
+
+
 def test_basis_arrays_read_only():
     g = gell_mann_basis(3)
     with pytest.raises(ValueError):

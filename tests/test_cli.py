@@ -583,13 +583,21 @@ def test_array_blocks_spell_each_distinct_value_as_lists_do():
     table = np.resize(values, 3 * (_BLOCK_ROWS + 7)).reshape(-1, 3)
     assert _render_json({"rows": table}) == _render_json({"rows": table.tolist()})
     assert _render_csv(["a", "b", "c"], table) == _render_csv(["a", "b", "c"], table.tolist())
-    # integer and float32 tables spell their values as float64 (an int's bits read as a float would be subnormal)
+    # integer tables spell exact integers, float32 tables their values as float64
     assert _render_csv(["a", "b", "c"], np.arange(6).reshape(2, 3)) == "a,b,c\n0,1,2\n3,4,5"
     assert _render_json(np.arange(6).reshape(2, 3)) == "[\n  [0, 1, 2],\n  [3, 4, 5]\n]"
     single = np.array([[0.1, -0.0, 3e38], [1e-45, 2.5, -7.0]], dtype=np.float32)
     text = "0.10000000149011612, -0, 3.0000000054977558e+38],\n  [1.4012984643248171e-45, 2.5, -7"
     assert _render_json(single) == "[\n  [" + text + "]\n]"
     assert _render_csv(["a", "b", "c"], single) == "a,b,c\n" + text.replace(", ", ",").replace("],\n  [", "\n")
+
+
+def test_integer_array_blocks_spell_exact_integers():
+    # 2**62 has no exact 17-digit spelling as a float: an integer block is spelled cell by cell, as its list is
+    table = np.array([[2**62, -3]])
+    assert _render_csv(["a", "b"], table) == _render_csv(["a", "b"], table.tolist()) == "a,b\n4611686018427387904,-3"
+    assert _render_json({"rows": table}) == _render_json({"rows": table.tolist()})
+    assert _render_json(table) == "[\n  [4611686018427387904, -3]\n]"
 
 
 @pytest.mark.parametrize("size", [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 3])
@@ -621,18 +629,75 @@ def test_wigner_eval_blocks_match_generic_renderers(tmp_path, capsys, size, kern
         assert code == 0 and out == text
 
 
-def _wigner_eval_peak_rss_mib(tmp_path, counts: tuple[int, int]) -> float:
+ROUTES = {
+    # route: --nu, or --mu
+    "qubit": (None, [1.0]),
+    "standard-nu": (-0.5, None),
+    "standard-mu": (None, [0.6, -0.8]),
+    "reduced": (-1.0, None),
+    "adapted": (-1.0 / 3.0, None),
+}
+#: Per angle: start, stop, count on every axis; a single-point axis; and a range that leaves the chart
+AXES_GRIDS = {
+    "all axes": {"alpha": (0.3, 5.9, 3), "beta": (0.2, 3.0, 4), "gamma": (0.5, 11.0, 2), "a": (0.1, 6.0, 2),
+                 "b": (0.4, 2.9, 3), "theta": (0.1, 1.5, 2)},
+    "single-point axis": {"alpha": (0.3, 5.9, 4), "beta": (1.1, 1.1, 1), "gamma": (0.5, 11.0, 3), "b": (0.4, 2.9, 2),
+                          "theta": (0.1, 1.5, 3)},
+    "off the chart": {"alpha": (0.3, 5.9, 2), "beta": (3.2, 4.0, 3), "gamma": (0.5, 11.0, 2), "theta": (0.1, 1.5, 2)},
+}
+
+
+@pytest.mark.parametrize("grid", list(AXES_GRIDS))
+@pytest.mark.parametrize("route", list(ROUTES))
+def test_wigner_eval_on_axes_matches_dense_meshes(tmp_path, route, grid):
+    nu, mu = ROUTES[route]
+    moduli = qutrit_mu(nu) if mu is None else moduli_point(len(mu) + 1, mu)
+    chart, n = kernel_chart(moduli), moduli.dim_n
+    angles = CHART_ANGLES[chart.name]
+    bloch = [0.3, -0.2, 0.5] if n == 2 else XI3
+    specs = {name: spec for name, spec in AXES_GRIDS[grid].items() if name in angles}
+    argv = ["wigner-eval", "--n", str(n), f"--nu={nu!r}" if mu is None else "--mu=" + ",".join(map(repr, mu)),
+            "--state", ",".join(map(repr, bloch)),
+            *(f"--grid={name}={start!r}:{stop!r}:{count}" for name, (start, stop, count) in specs.items())]
+    # the reference, built apart from the CLI: dense meshes of every chart angle, flattened, then the values there
+    axes = [np.linspace(*specs[name]) if name in specs else np.zeros(1) for name in angles]
+    mesh = [m.ravel() for m in np.meshgrid(*axes, indexing="ij")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        w = chart_wf(np.array(bloch), moduli if nu is None else nu, chart, dict(zip(angles, mesh)))
+    rows = np.column_stack([*mesh, w]).tolist()
+    payload = {
+        "n": n, "mu": moduli.mu.tolist(), "nu": nu, "chart": chart.name,
+        "state": state_as_dict(rho_from_bloch(n, np.array(bloch))), "columns": [*angles, "w"], "rows": rows,
+    }
+    expected = {"json": _render_json(payload) + "\n", "csv": _render_csv([*angles, "w"], rows) + "\n"}
+    for fmt, text in expected.items():
+        path = tmp_path / f"grid.{fmt}"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([*argv, "--format", fmt, "--output", str(path)]) == 0
+        assert path.read_bytes() == text.encode()
+        # one range warning for the whole grid, and only off the chart
+        assert len(caught) == (grid == "off the chart"), [str(c.message) for c in caught]
+
+
+#: Upper grid ends of the memory tests, inside the chart ranges
+GRID_ENDS = {"alpha": 6, "beta": 3, "gamma": 12, "a": 6, "b": 3, "theta": 1.5}
+
+
+def _wigner_eval_peak_rss_mib(tmp_path, counts: tuple[int, ...], kernel=("--n", "2", "--state", "0.3,-0.2,0.5"),
+                              angles=CHART_ANGLES["qubit"]) -> float:
     # VmHWM, not ru_maxrss: a child's ru_maxrss keeps the RSS of the process that forked it
     code = (
         "import sys\n"
         "from swphase.cli import main\n"
-        "grid = ['--grid', f'alpha=0:6:{sys.argv[1]}', '--grid', f'beta=0:3:{sys.argv[2]}']\n"
-        "main(['wigner-eval', '--n', '2', '--state', '0.3,-0.2,0.5', *grid, '--output', sys.argv[3]])\n"
+        "main(['wigner-eval', *sys.argv[1:]])\n"
         "print(next(line.split()[1] for line in open('/proc/self/status') if line.startswith('VmHWM:')))\n"
     )
+    grid = [f"--grid={name}=0:{GRID_ENDS[name]}:{count}" for name, count in zip(angles, counts)]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     result = subprocess.run(
-        [sys.executable, "-c", code, *map(str, counts), str(tmp_path / "grid.json")],
+        [sys.executable, "-c", code, *kernel, *grid, "--output", str(tmp_path / "grid.json")],
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert result.returncode == 0, result.stderr
@@ -643,6 +708,16 @@ def _wigner_eval_peak_rss_mib(tmp_path, counts: tuple[int, int]) -> float:
 def test_wigner_eval_memory_does_not_grow_with_text(tmp_path):
     # the rendered text of 10^5 points is about 7 MB; written in row blocks, it is never held whole
     assert _wigner_eval_peak_rss_mib(tmp_path, (400, 250)) <= _wigner_eval_peak_rss_mib(tmp_path, (10, 10)) + 16.0
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="VmHWM is read from /proc")
+def test_wigner_eval_memory_of_the_evaluation(tmp_path):
+    # evaluated on the grid's axes, the standard chart's closed forms hold no dense angle meshes:
+    # 10^5 points took +12.1 MiB over 64 points that way, and +25.4 MiB on dense meshes
+    standard = ("--n", "3", "--nu=-0.5", "--state", ",".join(map(repr, XI3)))
+    peak = [_wigner_eval_peak_rss_mib(tmp_path, counts, standard, CHART_ANGLES["standard"])
+            for counts in [(2,) * 6, (10, 10, 10, 10, 10, 1)]]
+    assert peak[1] <= peak[0] + 18.0
 
 
 def test_outputs_byte_identical(tmp_path, capsys):

@@ -40,7 +40,7 @@ from swphase import (
     wigner_value,
 )
 from swphase import _streams
-from swphase.wigner import _delta_batch, _symbol_batch
+from swphase.wigner import _closed_form, _delta_batch, _symbol_batch
 from conftest import ball_vector
 
 B2 = gell_mann_basis(2)
@@ -169,6 +169,19 @@ def test_chart_wf_takes_a_built_state_or_checks_a_vector():
         chart_wf(np.array([0.0, 0.0, 2.0]), qubit, chart, angles)
     with pytest.raises(ValidationError, match="dimension"):
         chart_wf(rho_from_bloch(3, np.zeros(8)), qubit, chart, angles)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_stacked_frame_gives_the_flattened_values(n):
+    # a frame stacked on a grid's shape, as an open mesh of angles gives it, is evaluated as its
+    # (points, N**2-1) table is, bit for bit; one point as the one row of a table
+    rng = np.random.default_rng(n)
+    xi = ball_vector(rng, n * n - 1, 0.4)
+    frame = rng.standard_normal((7, 5, 3, n * n - 1))
+    w = _closed_form(xi, frame)
+    assert w.shape == (7, 5, 3)
+    assert np.array_equal(w.ravel(), _closed_form(xi, frame.reshape(-1, n * n - 1)))
+    assert _closed_form(xi, frame[1, 2, 0]) == _closed_form(xi, frame[1, 2, 0][None])[0]
 
 
 def test_qutrit_wf_rejects_bad_inputs():
