@@ -30,29 +30,50 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GellMannBasis:
-    """Orthogonal Hermitian traceless basis of su(N).
+    """Orthogonal Hermitian traceless basis of su(N), held as its N alone.
 
-    `generators` has shape `(N**2 - 1, N, N)`; `generators[a - 1]` is the
-    generator with 1-based label `a`, normalized to `tr(g_a g_b) = 2 delta_ab`.
-    `cartan_indices` lists the 1-based labels of the diagonal generators.
+    `generators`, built when first read, has shape `(N**2 - 1, N, N)` and holds the generator with 1-based
+    label `a`, normalized to `tr(g_a g_b) = 2 delta_ab`, at `a - 1`; `cartan_indices` are the diagonal ones.
     """
 
     dim_n: int
-    generators: np.ndarray
-    cartan_indices: tuple[int, ...]
+
+    @property
+    def cartan_indices(self) -> tuple[int, ...]:
+        return tuple(s * s - 1 for s in range(2, self.dim_n + 1))
 
     def generator(self, label: int) -> np.ndarray:
         """Return the generator with 1-based `label`."""
-        if not 1 <= label <= self.dim_n**2 - 1:
+        if _as_index(label, "generator label", 1) > self.dim_n**2 - 1:
             raise DomainError(f"generator label must be in 1..{self.dim_n ** 2 - 1}, got {label}")
         return self.generators[label - 1]
 
     @cached_property
     def cartan_diagonals(self) -> np.ndarray:
         """Real diagonals of the Cartan generators, shape `(N-1, N)`, read-only."""
-        diag = np.array([np.diag(self.generators[c - 1]).real for c in self.cartan_indices])
+        s = np.arange(2, self.dim_n + 1)
+        diag = np.tri(self.dim_n - 1, self.dim_n)  # row s - 2: sqrt(2/(s(s-1))) (1, ..., 1, -(s-1), 0, ..., 0)
+        diag[s - 2, s - 1] = 1.0 - s
+        diag *= np.sqrt(2.0 / (s * (s - 1)))[:, None]
         diag.setflags(write=False)
         return diag
+
+    @cached_property
+    def generators(self) -> np.ndarray:
+        """The complex generator array, read-only; an N whose array cannot be allocated is a `DomainError`."""
+        n = self.dim_n
+        try:
+            mats = np.zeros((n * n - 1, n, n), dtype=complex)
+        except MemoryError as exc:
+            raise DomainError(f"N={n} is too large for its Gell-Mann basis: {exc}") from None
+        r, c = np.tril_indices(n, -1)  # levels c < r, 0-based, couple in the 0-based labels a and a + 1
+        a = r * r - 1 + 2 * c
+        mats[a, c, r] = mats[a, r, c] = 1.0
+        mats[a + 1, c, r] = -1.0j
+        mats[a + 1, r, c] = 1.0j
+        mats[np.array(self.cartan_indices)[:, None] - 1, range(n), range(n)] = self.cartan_diagonals
+        mats.setflags(write=False)
+        return mats
 
 
 @dataclass(frozen=True)
@@ -65,34 +86,14 @@ class SymmetricStructureTensor:
 
 @lru_cache(maxsize=None, typed=True)  # typed, so that 2.0 cannot hit the entry of 2
 def gell_mann_basis(n: int) -> GellMannBasis:
-    """Construct the generalized Gell-Mann basis of su(N).
+    """The generalized Gell-Mann basis of su(N), cached: the Pauli matrices at N=2, the eight Gell-Mann ones at N=3.
 
-    For `n == 2` this yields the three Pauli matrices, for `n == 3` the eight
-    Gell-Mann matrices in conventional order.  The result is cached and its
-    arrays are read-only.  An N whose `(N**2 - 1, N, N)` array numpy refuses is a `DomainError`.
+    An N whose `(N**2 - 1, N, N)` generator array numpy refuses is a `DomainError`.
     """
     n = _as_index(n, "N", 2)
-    try:
-        mats = np.zeros((n * n - 1, n, n), dtype=complex)
-    except (ValueError, MemoryError) as exc:
-        raise DomainError(f"N={n} is too large for its Gell-Mann basis: {exc}") from None
-    cartan: list[int] = []
-    a = 0
-    for s in range(2, n + 1):
-        for k in range(1, s):
-            mats[a, k - 1, s - 1] = 1.0
-            mats[a, s - 1, k - 1] = 1.0
-            mats[a + 1, k - 1, s - 1] = -1.0j
-            mats[a + 1, s - 1, k - 1] = 1.0j
-            a += 2
-        scale = np.sqrt(2.0 / (s * (s - 1)))
-        for i in range(s - 1):
-            mats[a, i, i] = scale
-        mats[a, s - 1, s - 1] = -scale * (s - 1)
-        a += 1
-        cartan.append(s * s - 1)
-    mats.setflags(write=False)
-    return GellMannBasis(dim_n=n, generators=mats, cartan_indices=tuple(cartan))
+    if 16 * (n * n - 1) * n * n > np.iinfo(np.intp).max:  # the bytes of its complex generator array
+        raise DomainError(f"N={n} is too large for its Gell-Mann basis: its generator array exceeds np.intp in bytes")
+    return GellMannBasis(dim_n=n)
 
 
 def symmetric_structure_constants(basis: GellMannBasis) -> SymmetricStructureTensor:

@@ -197,7 +197,7 @@ def _seeded_ball_state(n: int, seed: int) -> DensityState:
     The ball of Bloch radius `1/(N-1)` lies inside the state space for every
     direction, so this construction never fails positivity.
     """
-    # the basis first: an N too large for it fails before N**2 - 1 normals are drawn
+    # the generators first, as rho_from_bloch reads them next: an N too large for them fails before N**2 - 1 normals
     direction = counter_normals(seed, 0, 1, len(gell_mann_basis(n).generators))[0]
     direction /= np.linalg.norm(direction)
     return rho_from_bloch(n, 0.8 / (n - 1) * direction)

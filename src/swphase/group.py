@@ -302,7 +302,7 @@ def adjoint_vector(p: PhasePoint, cartan_index: int, basis: GellMannBasis) -> np
     `c = cartan_index`; always a unit vector, and vectors for distinct Cartan
     labels are mutually orthogonal.
     """
-    if cartan_index not in basis.cartan_indices:
+    if _as_index(cartan_index, "Cartan label", 1) not in basis.cartan_indices:
         raise DomainError(f"label {cartan_index} is not a Cartan label {basis.cartan_indices}")
     u = _unitary(p.u, basis.dim_n, "phase-space matrix")
     return expand_in_basis(u @ basis.generator(cartan_index) @ u.conj().T, basis)[0]

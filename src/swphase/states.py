@@ -57,8 +57,7 @@ def rho_from_bloch(n: int, xi: np.ndarray) -> DensityState:
         raise ValidationError(f"Bloch vector for N={n} must have length {n * n - 1}, got shape {xi.shape}")
     if not np.all(np.isfinite(xi)):
         raise ValidationError(f"Bloch vector must be finite, got {xi.tolist()}")
-    basis = gell_mann_basis(n)
-    rho = (np.eye(n) + bloch_scale(n) * np.einsum("a,aij->ij", xi, basis.generators)) / n
+    rho = (np.eye(n) + bloch_scale(n) * np.einsum("a,aij->ij", xi, gell_mann_basis(n).generators)) / n
     lo = float(np.linalg.eigvalsh(rho)[0])
     if lo < -TOLERANCES.spectral:
         raise InvalidStateError(

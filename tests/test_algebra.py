@@ -1,8 +1,11 @@
 """Generator basis construction and the symmetric structure tensor."""
+import dataclasses
+
 import numpy as np
 import pytest
 
 from swphase import (
+    GellMannBasis,
     ValidationError,
     expand_in_basis,
     gell_mann_basis,
@@ -55,15 +58,50 @@ def test_cartan_labels_are_squares_minus_one(n):
         np.testing.assert_allclose(row, np.diag(g.generator(label)).real, atol=0)
 
 
-@pytest.mark.parametrize("n", range(2, 13))
+@pytest.mark.parametrize("n", range(2, 61))
 def test_cartan_diagonals_closed_form(n):
-    # the diagonal of generator s**2 - 1 is sqrt(2/(s(s-1))) (1, ..., 1, -(s-1), 0, ..., 0), with s-1 ones
+    # the diagonal of generator s**2 - 1 is sqrt(2/(s(s-1))) (1, ..., 1, -(s-1), 0, ..., 0), with s-1 ones;
+    # compared by bits, which the earlier per-element build matched too
     expected = np.zeros((n - 1, n))
     for s in range(2, n + 1):
         expected[s - 2, : s - 1] = 1.0
         expected[s - 2, s - 1] = -(s - 1.0)
         expected[s - 2] *= np.sqrt(2.0 / (s * (s - 1)))
-    np.testing.assert_allclose(gell_mann_basis(n).cartan_diagonals, expected, rtol=0, atol=1e-15)
+    np.testing.assert_array_equal(gell_mann_basis(n).cartan_diagonals.view(np.uint64), expected.view(np.uint64))
+
+
+def _loop_generators(n):
+    """The generator array as the earlier per-element loops built it: the reference for its bits."""
+    mats = np.zeros((n * n - 1, n, n), dtype=complex)
+    a = 0
+    for s in range(2, n + 1):
+        for k in range(1, s):
+            mats[a, k - 1, s - 1] = 1.0
+            mats[a, s - 1, k - 1] = 1.0
+            mats[a + 1, k - 1, s - 1] = -1.0j
+            mats[a + 1, s - 1, k - 1] = 1.0j
+            a += 2
+        scale = np.sqrt(2.0 / (s * (s - 1)))
+        for i in range(s - 1):
+            mats[a, i, i] = scale
+        mats[a, s - 1, s - 1] = -scale * (s - 1)
+        a += 1
+    return mats
+
+
+@pytest.mark.parametrize("n", range(2, 14))
+def test_generators_bits_match_the_loop_construction(n):
+    # by uint64 view, so -0.0 (the real part of -1j) and every last bit count
+    np.testing.assert_array_equal(gell_mann_basis(n).generators.view(np.uint64), _loop_generators(n).view(np.uint64))
+
+
+def test_basis_holds_only_n():
+    # the Cartan-only callers never build the generator array; reading it once caches it
+    g = GellMannBasis(dim_n=7)
+    assert [f.name for f in dataclasses.fields(g)] == ["dim_n"]
+    g.cartan_diagonals
+    assert "generators" not in vars(g)
+    assert g.generators is g.generators and gell_mann_basis(7) == g
 
 
 def test_basis_arrays_read_only():

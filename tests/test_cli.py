@@ -328,6 +328,15 @@ def test_dimension_too_large_for_its_basis(capsys, argv):
     assert err.startswith("error: N=100000 is too large for its Gell-Mann basis") and err.count("\n") == 1
 
 
+def test_dimension_too_large_when_its_basis_is_allocated(capsys):
+    # 16 (N**2 - 1) N**2 bytes fit np.intp at N=5000, so it is the allocation of the 8.9 PiB generator
+    # array that fails, when verify first reads it; its Cartan diagonals, 200 MB here, are never built
+    argv = ["verify", "--n", "5000", "--mu=" + ",".join(["1"] + ["0"] * 4998), "--samples", "10000"]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: N=5000 is too large for its Gell-Mann basis") and err.count("\n") == 1
+
+
 def test_wigner_eval_state_file(tmp_path, capsys):
     path = tmp_path / "state.json"
     path.write_text(json.dumps({"n": 2, "bloch": [0.0, 0.0, 1.0]}))
@@ -685,23 +694,42 @@ def test_wigner_eval_on_axes_matches_dense_meshes(tmp_path, route, grid):
 GRID_ENDS = {"alpha": 6, "beta": 3, "gamma": 12, "a": 6, "b": 3, "theta": 1.5}
 
 
-def _wigner_eval_peak_rss_mib(tmp_path, counts: tuple[int, ...], kernel=("--n", "2", "--state", "0.3,-0.2,0.5"),
-                              angles=CHART_ANGLES["qubit"]) -> float:
+def _peak_rss_mib(tmp_path, *argv: str) -> float:
+    """VmHWM of a fresh process that runs the CLI on `argv`, writing to a file; the command must exit 0."""
     # VmHWM, not ru_maxrss: a child's ru_maxrss keeps the RSS of the process that forked it
     code = (
         "import sys\n"
         "from swphase.cli import main\n"
-        "main(['wigner-eval', *sys.argv[1:]])\n"
+        "code = main(sys.argv[1:])\n"
         "print(next(line.split()[1] for line in open('/proc/self/status') if line.startswith('VmHWM:')))\n"
+        "sys.exit(code)\n"
     )
-    grid = [f"--grid={name}=0:{GRID_ENDS[name]}:{count}" for name, count in zip(angles, counts)]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     result = subprocess.run(
-        [sys.executable, "-c", code, *kernel, *grid, "--output", str(tmp_path / "grid.json")],
+        [sys.executable, "-c", code, *argv, "--output", str(tmp_path / "out")],
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert result.returncode == 0, result.stderr
     return int(result.stdout) / 1024.0
+
+
+def _wigner_eval_peak_rss_mib(tmp_path, counts: tuple[int, ...], kernel=("--n", "2", "--state", "0.3,-0.2,0.5"),
+                              angles=CHART_ANGLES["qubit"]) -> float:
+    grid = [f"--grid={name}=0:{GRID_ENDS[name]}:{count}" for name, count in zip(angles, counts)]
+    return _peak_rss_mib(tmp_path, "wigner-eval", *kernel, *grid)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="VmHWM is read from /proc")
+@pytest.mark.parametrize(
+    "argv",
+    [lambda n: ["spectrum", "--n", str(n), "--mu=" + ",".join(["1"] + ["0"] * (n - 2))],
+     lambda n: ["moduli-sample", "--n", str(n), "--samples", "1000"]],
+    ids=["spectrum", "moduli-sample"],
+)
+def test_cartan_only_commands_never_build_the_generators(tmp_path, argv):
+    # both read only the N - 1 Cartan diagonals; the (N**2 - 1, N, N) generator array would be 198 MiB
+    # at N=60 (spectrum peaked at 226 MiB there when every basis held it, against 30 MiB at N=10)
+    assert _peak_rss_mib(tmp_path, *argv(60)) <= 1.1 * _peak_rss_mib(tmp_path, *argv(10))
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="VmHWM is read from /proc")

@@ -106,3 +106,19 @@ def test_moduli_of_another_dimension_rejected(call):
     # kernel_diagonal for moduli against a basis, PhasePoint and _unitary for a matrix
     with pytest.raises(ValidationError):
         call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda label: gell_mann_basis(3).generator(label),
+        lambda label: adjoint_vector(haar_sample(3, 4), label, gell_mann_basis(3)),
+    ],
+    ids=["generator", "adjoint_vector"],
+)
+def test_labels_must_be_integers(call):
+    # a float label is a DomainError, not numpy's IndexError; a numpy integer is a label like any other
+    for label in (2.5, 3.0):
+        with pytest.raises(DomainError, match="must be an integer"):
+            call(label)
+    assert call(np.int64(3)).shape in {(3, 3), (8,)}
