@@ -30,13 +30,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GellMannBasis:
-    """Orthogonal Hermitian traceless basis of su(N), held as its N alone.
+    """Orthogonal Hermitian traceless basis of su(N), held as its N alone; construction checks N.
 
     `generators`, built when first read, has shape `(N**2 - 1, N, N)` and holds the generator with 1-based
     label `a`, normalized to `tr(g_a g_b) = 2 delta_ab`, at `a - 1`; `cartan_indices` are the diagonal ones.
     """
 
     dim_n: int
+
+    def __post_init__(self):
+        n = _as_index(self.dim_n, "N", 2)
+        if 16 * (n * n - 1) * n * n > np.iinfo(np.intp).max:  # the bytes of its complex generator array
+            raise DomainError(f"N={n} is too large for its Gell-Mann basis: its generator array exceeds np.intp in bytes")
+        object.__setattr__(self, "dim_n", n)
 
     @property
     def cartan_indices(self) -> tuple[int, ...]:
@@ -90,10 +96,7 @@ def gell_mann_basis(n: int) -> GellMannBasis:
 
     An N whose `(N**2 - 1, N, N)` generator array numpy refuses is a `DomainError`.
     """
-    n = _as_index(n, "N", 2)
-    if 16 * (n * n - 1) * n * n > np.iinfo(np.intp).max:  # the bytes of its complex generator array
-        raise DomainError(f"N={n} is too large for its Gell-Mann basis: its generator array exceeds np.intp in bytes")
-    return GellMannBasis(dim_n=n)
+    return GellMannBasis(n)
 
 
 def symmetric_structure_constants(basis: GellMannBasis) -> SymmetricStructureTensor:

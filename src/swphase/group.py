@@ -309,11 +309,12 @@ def adjoint_vector(p: PhasePoint, cartan_index: int, basis: GellMannBasis) -> np
 
 
 def adjoint_matrix(u: np.ndarray, basis: GellMannBasis) -> np.ndarray:
-    """The adjoint representation matrix of `u`: `M[m, v] = tr(u g_v u^dag g_m) / 2`.
+    """The adjoint representation matrix of the N x N unitary `u`: `M[m, v] = tr(u g_v u^dag g_m) / 2`.
 
     Orthogonal, and composes covariantly with the frame vectors:
     `adjoint_vector(V U, c) = adjoint_matrix(V) @ adjoint_vector(U, c)`.
     """
+    u = _unitary(u, basis.dim_n, "adjoint-action matrix")
     rotated = np.einsum("ij,ajk,lk->ail", u, basis.generators, u.conj())
     return np.einsum("ail,mli->ma", rotated, basis.generators).real / 2.0
 

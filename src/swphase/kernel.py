@@ -24,7 +24,7 @@ nu = -1 and {5/3, -1/3, -1/3} at nu = -1/3.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -88,8 +88,9 @@ class ModuliPoint:
 
 @dataclass(frozen=True)
 class KernelSpectrum:
-    """Kernel eigenvalues sorted descending, with their degeneracy bookkeeping.
+    """Kernel eigenvalues, sorted descending and read-only on construction, with their degeneracy bookkeeping.
 
+    Construction takes two or more finite eigenvalues in any order.
     `multiplicities` counts equal eigenvalues (grouped with the degeneracy-gap
     tolerance); `flag_dims` lists the strictly increasing partial sums of the
     multiplicities with the final sum N omitted, i.e. the dimension signature
@@ -98,9 +99,21 @@ class KernelSpectrum:
     """
 
     eigenvalues: np.ndarray
-    multiplicities: tuple[int, ...]
-    flag_dims: tuple[int, ...]
-    degenerate: bool
+    multiplicities: tuple[int, ...] = field(init=False)
+    flag_dims: tuple[int, ...] = field(init=False)
+    degenerate: bool = field(init=False)
+
+    def __post_init__(self):
+        eigs = np.asarray(self.eigenvalues, dtype=float)
+        if eigs.ndim != 1 or eigs.size < 2 or not np.all(np.isfinite(eigs)):
+            raise ValidationError(f"a kernel spectrum needs two or more finite eigenvalues, got {eigs.tolist()}")
+        eigs = np.sort(eigs)[::-1].copy()
+        eigs.setflags(write=False)
+        starts = np.flatnonzero(-np.diff(eigs) > TOLERANCES.degeneracy_gap) + 1  # of every group but the first
+        object.__setattr__(self, "eigenvalues", eigs)
+        object.__setattr__(self, "multiplicities", tuple(int(k) for k in np.diff(starts, prepend=0, append=eigs.size)))
+        object.__setattr__(self, "flag_dims", tuple(int(k) for k in starts))
+        object.__setattr__(self, "degenerate", starts.size < eigs.size - 1)
 
     @property
     def dim_n(self) -> int:
@@ -115,30 +128,12 @@ class KernelMatrix:
     delta: np.ndarray
 
     def __post_init__(self):
-        _hermitian(self.delta, "kernel matrix", self.dim_n)
+        _hermitian(self.delta, "kernel matrix", _as_index(self.dim_n, "N", 2))
 
 
 def moduli_point(n: int, mu: Sequence[float]) -> ModuliPoint:
     """Validate and wrap a moduli vector: length N-1 and unit norm required."""
     return ModuliPoint(dim_n=n, mu=mu)
-
-
-def _spectrum(eigs: np.ndarray) -> KernelSpectrum:
-    """`eigs` sorted descending, with neighbours within the degeneracy gap grouped into multiplicities."""
-    eigs = np.sort(np.asarray(eigs, dtype=float))[::-1].copy()
-    eigs.setflags(write=False)
-    mult: list[int] = [1]
-    for gap in -np.diff(eigs):
-        if gap <= TOLERANCES.degeneracy_gap:
-            mult[-1] += 1
-        else:
-            mult.append(1)
-    return KernelSpectrum(
-        eigenvalues=eigs,
-        multiplicities=tuple(mult),
-        flag_dims=tuple(int(x) for x in np.cumsum(mult)[:-1]),
-        degenerate=any(k > 1 for k in mult),
-    )
 
 
 def _kernel_scale(n: int) -> float:
@@ -158,7 +153,7 @@ def spectrum_from_moduli(p: ModuliPoint, basis: GellMannBasis) -> KernelSpectrum
     Any unit `mu` satisfies both master equations identically, so the result
     always passes `verify_master` at round-off level.
     """
-    return _spectrum(kernel_diagonal(p, basis))
+    return KernelSpectrum(kernel_diagonal(p, basis))
 
 
 def _eigenvalues_of(spec: KernelSpectrum | Sequence[float]) -> np.ndarray:
@@ -201,7 +196,7 @@ def qutrit_spectrum(nu: float) -> KernelSpectrum:
     """
     nu = _check_nu(nu)
     delta = math.sqrt((1.0 + nu) * (5.0 - 3.0 * nu))
-    return _spectrum(np.array([(1.0 - nu + delta) / 2.0, (1.0 - nu - delta) / 2.0, nu]))
+    return KernelSpectrum([(1.0 - nu + delta) / 2.0, (1.0 - nu - delta) / 2.0, nu])
 
 
 def qutrit_mu(nu: float) -> ModuliPoint:
@@ -302,7 +297,7 @@ def isotropy_signature(spec: KernelSpectrum | Sequence[float]) -> tuple[tuple[in
     2 for a qubit, 6 for a generic qutrit kernel, 4 for the two degenerate
     qutrit kernels.
     """
-    mult = _spectrum(_eigenvalues_of(spec)).multiplicities
+    mult = KernelSpectrum(_eigenvalues_of(spec)).multiplicities
     return mult, sum(mult) ** 2 - sum(k * k for k in mult)  # sum(mult) is N
 
 

@@ -8,7 +8,7 @@ a state -- positivity always has to be checked.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,14 +30,34 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DensityState:
-    """A density matrix together with its Bloch-vector view; construction checks `rho`."""
+    """The density matrix `rho` with Bloch vector `bloch`, built on construction.
+
+    Construction checks that N is an integer of 2 or more and `bloch` a finite vector of length `N**2 - 1`,
+    and raises `InvalidStateError` (carrying the offending eigenvalue) if `rho` is not positive semidefinite
+    within the spectral tolerance; states are never silently clamped.
+    """
 
     dim_n: int
-    rho: np.ndarray
     bloch: np.ndarray
+    rho: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        _hermitian(self.rho, "density matrix", self.dim_n)
+        n = _as_index(self.dim_n, "N", 2)
+        xi = np.array(self.bloch, dtype=float)
+        if xi.shape != (n * n - 1,):
+            raise ValidationError(f"Bloch vector for N={n} must have length {n * n - 1}, got shape {xi.shape}")
+        if not np.all(np.isfinite(xi)):
+            raise ValidationError(f"Bloch vector must be finite, got {xi.tolist()}")
+        rho = (np.eye(n) + bloch_scale(n) * np.einsum("a,aij->ij", xi, gell_mann_basis(n).generators)) / n
+        lo = float(np.linalg.eigvalsh(rho)[0])
+        if lo < -TOLERANCES.spectral:
+            raise InvalidStateError(f"Bloch vector yields a non-positive matrix (min eigenvalue {lo:.3e})",
+                                    min_eigenvalue=lo)
+        rho.setflags(write=False)
+        xi.setflags(write=False)
+        object.__setattr__(self, "dim_n", n)
+        object.__setattr__(self, "bloch", xi)
+        object.__setattr__(self, "rho", rho)
 
 
 def bloch_scale(n: int) -> float:
@@ -46,28 +66,8 @@ def bloch_scale(n: int) -> float:
 
 
 def rho_from_bloch(n: int, xi: np.ndarray) -> DensityState:
-    """Build the density matrix with Bloch vector `xi`.
-
-    Raises `InvalidStateError` (carrying the offending eigenvalue) if the
-    resulting matrix is not positive semidefinite within the spectral
-    tolerance; states are never silently clamped.
-    """
-    xi = np.asarray(xi, dtype=float)
-    if xi.shape != (n * n - 1,):
-        raise ValidationError(f"Bloch vector for N={n} must have length {n * n - 1}, got shape {xi.shape}")
-    if not np.all(np.isfinite(xi)):
-        raise ValidationError(f"Bloch vector must be finite, got {xi.tolist()}")
-    rho = (np.eye(n) + bloch_scale(n) * np.einsum("a,aij->ij", xi, gell_mann_basis(n).generators)) / n
-    lo = float(np.linalg.eigvalsh(rho)[0])
-    if lo < -TOLERANCES.spectral:
-        raise InvalidStateError(
-            f"Bloch vector yields a non-positive matrix (min eigenvalue {lo:.3e})",
-            min_eigenvalue=lo,
-        )
-    rho.setflags(write=False)
-    xi = xi.copy()
-    xi.setflags(write=False)
-    return DensityState(dim_n=n, rho=rho, bloch=xi)
+    """The state with Bloch vector `xi`, checked as `DensityState` checks it."""
+    return DensityState(dim_n=n, bloch=xi)
 
 
 def bloch_from_rho(matrix: np.ndarray) -> np.ndarray:

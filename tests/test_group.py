@@ -348,6 +348,12 @@ def test_adjoint_matrix_orthogonal_and_composes():
     )
 
 
+def test_adjoint_matrix_checks_its_unitary():
+    # a NaN or a wrong N is refused in test_validators; a finite non-unitary matrix is refused too
+    with pytest.raises(ValidationError, match="not unitary"):
+        adjoint_matrix(2.0 * haar_sample(3, seed=21).u, B3)
+
+
 def test_adjoint_vector_is_matrix_column():
     p = haar_sample(3, seed=33)
     m = adjoint_matrix(p.u, B3)

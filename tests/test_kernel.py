@@ -10,6 +10,7 @@ from swphase import (
     QUTRIT_NU_MAX,
     QUTRIT_NU_MIN,
     DomainError,
+    KernelSpectrum,
     ValidationError,
     assemble_kernel,
     gell_mann_basis,
@@ -194,6 +195,31 @@ def test_isotropy_signature():
     assert isotropy_signature(qutrit_spectrum(-1.0 / 3.0)) == ((1, 2), 4)
     assert isotropy_signature([1.366, -0.366]) == ((1, 1), 2)
     assert isotropy_signature([1.0, 1.0, 1.0, -2.0]) == ((3, 1), 6)
+
+
+def test_spectrum_is_built_from_eigenvalues_in_any_order():
+    fields = ("multiplicities", "flag_dims", "degenerate")
+    for eigs in ([1.0, 1.0, -1.0], [5 / 3, -1 / 3, -1 / 3], [1.366, -0.366], [0.5, 0.3, 1.0, -0.8]):
+        spec, shuffled = KernelSpectrum(eigs), KernelSpectrum(eigs[::-1])
+        np.testing.assert_array_equal(shuffled.eigenvalues, np.sort(eigs)[::-1])
+        assert shuffled.eigenvalues.tobytes() == spec.eigenvalues.tobytes()
+        assert [getattr(shuffled, f) for f in fields] == [getattr(spec, f) for f in fields]
+    with pytest.raises(ValueError):
+        spec.eigenvalues[0] = 2.0
+    # the derived fields are not constructor arguments, so they cannot contradict the eigenvalues
+    with pytest.raises(TypeError):
+        KernelSpectrum(eigenvalues=[1.0, 0.0], multiplicities=(2,), flag_dims=(), degenerate=True)
+
+
+def test_spectrum_needs_two_or_more_finite_eigenvalues():
+    for eigs in ([], [1.0], [math.nan, 1.0, 0.0], [math.inf, -math.inf], [[1.0, 0.0]]):
+        with pytest.raises(ValidationError):
+            KernelSpectrum(eigs)
+        with pytest.raises(ValidationError):
+            isotropy_signature(eigs)
+    # raw candidates are still diagnosed: an inadmissible one reports its residuals
+    assert verify_master([math.nan, 1.0, 0.0])[0] != 0.0
+    assert verify_master([2.0, -1.0]) == (0.0, 3.0)
 
 
 def test_flag_dims_are_partial_multiplicity_sums():

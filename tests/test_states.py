@@ -5,6 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swphase import (
+    DensityState,
+    DomainError,
     InvalidStateError,
     ValidationError,
     bloch_from_rho,
@@ -68,6 +70,18 @@ def test_bloch_from_rho_validates():
         bloch_from_rho(np.eye(2))  # trace 2
     with pytest.raises(InvalidStateError):
         bloch_from_rho(np.diag([1.5, -0.5]))
+
+
+def test_state_is_built_from_its_bloch_vector():
+    xi = [0.1, -0.2, 0.3]
+    state = DensityState(2, xi)
+    assert rho_from_bloch(2, xi).rho.tobytes() == state.rho.tobytes()
+    assert state.bloch.tolist() == xi and not state.bloch.flags.writeable and not state.rho.flags.writeable
+    # rho is derived, so a matrix that contradicts the vector cannot be supplied
+    with pytest.raises(TypeError):
+        DensityState(dim_n=2, rho=-np.eye(2), bloch=np.zeros(3))
+    with pytest.raises(DomainError, match="must be an integer"):
+        rho_from_bloch(2.0, xi)
 
 
 def test_wrong_length_rejected():

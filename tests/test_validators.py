@@ -16,10 +16,12 @@ from swphase import (
     DomainError,
     EulerSU2,
     EulerSU3,
+    GellMannBasis,
     KernelMatrix,
     ModuliPoint,
     PhasePoint,
     ValidationError,
+    adjoint_matrix,
     adjoint_vector,
     assemble_kernel,
     bloch_from_rho,
@@ -63,7 +65,8 @@ CASES = {
     "EulerSU3": ([0.5] * 8, lambda angles: EulerSU3(*angles)),
     "EulerSU2": ([0.5, 1.0], lambda angles: EulerSU2(*angles)),
     "KernelMatrix": (assemble_kernel(MODULI, POINT.u, gell_mann_basis(3)).delta, lambda d: KernelMatrix(dim_n=3, delta=d)),
-    "DensityState": (STATE.rho, lambda rho: DensityState(dim_n=3, rho=rho, bloch=STATE.bloch)),
+    "DensityState": (STATE.bloch, lambda xi: DensityState(dim_n=3, bloch=xi)),
+    "adjoint_matrix": (POINT.u, lambda u: adjoint_matrix(u, gell_mann_basis(3))),
 }
 
 
@@ -98,8 +101,12 @@ def test_validator_cases_accept_their_valid_input(case):
         lambda: check_covariance(rho_from_bloch(2, np.zeros(3)), POINT, moduli_point(2, [1.0]), np.eye(2)),
         lambda: adjoint_vector(haar_sample(2, 4), 3, gell_mann_basis(3)),
         lambda: wigner_closed_form(np.zeros(3), moduli_point(2, [1.0]), POINT, gell_mann_basis(3)),
+        lambda: adjoint_matrix(np.eye(2), gell_mann_basis(3)),
     ],
-    ids=["standardisation", "traciality", "assemble_kernel", "norm", "covariance", "adjoint_vector", "closed_form"],
+    ids=[
+        "standardisation", "traciality", "assemble_kernel", "norm", "covariance", "adjoint_vector", "closed_form",
+        "adjoint_matrix",
+    ],
 )
 def test_moduli_of_another_dimension_rejected(call):
     # the owner of each pair compares the dimensions before numpy multiplies mismatched arrays:
@@ -122,3 +129,27 @@ def test_labels_must_be_integers(call):
         with pytest.raises(DomainError, match="must be an integer"):
             call(label)
     assert call(np.int64(3)).shape in {(3, 3), (8,)}
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda n: rho_from_bloch(n, np.zeros(3)),
+        lambda n: DensityState(dim_n=n, bloch=np.zeros(3)),
+        lambda n: KernelMatrix(n, np.eye(2)),
+        GellMannBasis,
+    ],
+    ids=["rho_from_bloch", "DensityState", "KernelMatrix", "GellMannBasis"],
+)
+def test_records_take_n_as_an_integer(call):
+    # each record checks its own N, so no path stores 2.0 or reads "2" as a shape
+    for n in (2.0, 2.5, "2", 1):
+        with pytest.raises(DomainError):
+            call(n)
+    assert call(np.int64(2)).dim_n == 2
+
+
+def test_basis_refuses_an_n_too_large_before_building_an_array():
+    # 16 (N**2 - 1) N**2 bytes overflow np.intp at N = 10**6: refused by the arithmetic, not by numpy
+    with pytest.raises(DomainError, match="exceeds np.intp"):
+        GellMannBasis(10**6)

@@ -8,8 +8,11 @@ import threading
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swphase import (
+    DensityState,
     DomainError,
     EulerSU2,
     EulerSU3,
@@ -157,6 +160,22 @@ def test_adapted_chart_matches_trace_form(seed):
     with pytest.warns(UserWarning, match="outside the chart ranges"):
         got = chart_wf(xi, -1.0 / 3.0, chart, dict(alpha=alpha, beta=beta, gamma=gamma, theta=theta))
     assert got == pytest.approx(w, abs=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([2, 3]))
+def test_trace_form_and_chart_read_the_same_state(seed, n):
+    # tr(rho Delta) reads the state's rho, chart_wf its Bloch vector: one record holds both
+    rng = np.random.default_rng(seed)
+    state = DensityState(n, ball_vector(rng, n * n - 1, rng.uniform(0.0, 1.0 / (n - 1))))
+    if n == 2:
+        p, e = MU2, EulerSU2(alpha=rng.uniform(0, 2 * math.pi), beta=rng.uniform(0, math.pi))
+        u, chart = su2_coset(e).u, kernel_chart(MU2)
+    else:
+        p, e = qutrit_mu(rng.uniform(-1.0, -1.0 / 3.0)), random_angles(rng)
+        u, chart = su3_from_euler(e, B3).u, kernel_chart(qutrit_mu(-0.5))  # the standard chart serves every kernel
+    w = wigner_value(state, assemble_kernel(p, u, gell_mann_basis(n)))
+    assert chart_wf(state, p, chart, {name: getattr(e, name) for name in chart.angles}) == pytest.approx(w, abs=1e-12)
 
 
 def test_chart_wf_takes_a_built_state_or_checks_a_vector():
