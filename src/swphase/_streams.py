@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["counter_uniforms", "counter_normals", "check_seed", "check_samples", "over_slices", "lane_buffers"]
+__all__ = ["counter_uniforms", "counter_normals", "check_seed", "check_samples", "over_slices", "lane_buffer"]
 
 _WORDS_PER_BLOCK = 4  # Philox-4x64 emits four 64-bit words per counter value
 _MIN_SAMPLES = 1000  # fewest samples any Monte Carlo estimate accepts
@@ -45,7 +45,7 @@ _STREAM_VERSION = 1
 #: Thread pool of each process that has run a multi-lane loop, by process id (a forked child gets no threads).
 _POOLS: dict = {}
 
-#: Per-thread state: `lane` on the threads of a pool, `free` the thread's idle scratch sets.
+#: Per-thread state: `lane` on the threads of a pool, `free` the thread's idle byte buffers.
 _LANE = threading.local()
 
 
@@ -108,22 +108,19 @@ def counter_normals(seed: int, start: int, count: int, width: int, *, out: np.nd
     return ndtri(u, out=u)
 
 
-class _Scratch(dict):
-    def take(self, size: int, dtype: type = float) -> np.ndarray:
-        """The first `size` items of this set's one array of `dtype` (`float` or `complex`), grown when too small."""
-        buf = self.get(dtype)
-        if buf is None or buf.size < size:
-            buf = self[dtype] = np.empty(size, dtype)
-        return buf[:size]
-
-
 @contextmanager
-def lane_buffers():
-    """Borrow a scratch set of the calling thread; a nested borrow gets another set."""
+def lane_buffer(size: int, dtype: type = float):
+    """Borrow `size` uninitialised items of `dtype` from a byte buffer of the calling thread, grown when too small.
+
+    A nested borrow gets another buffer, so a thread holds one per nesting level.
+    """
     free = _LANE.__dict__.setdefault("free", [])
-    scratch = free.pop() if free else _Scratch()
-    yield scratch
-    free.append(scratch)  # a set whose block raised is dropped
+    nbytes = size * np.dtype(dtype).itemsize
+    buf = free.pop() if free else None
+    if buf is None or buf.size < nbytes:
+        buf = np.empty(nbytes, np.uint8)
+    yield buf[:nbytes].view(dtype)
+    free.append(buf)  # a buffer whose block raised is dropped
 
 
 def _cores() -> int:

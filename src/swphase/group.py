@@ -25,7 +25,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ._streams import _as_index, _padded_budget, check_samples, check_seed, counter_normals, lane_buffers, over_slices
+from ._streams import _as_index, _padded_budget, check_samples, check_seed, counter_normals, lane_buffer, over_slices
 from .algebra import GellMannBasis, expand_in_basis, gell_mann_basis
 from .config import TOLERANCES
 from .errors import DomainError, ValidationError
@@ -179,18 +179,18 @@ def _orthonormalize(g: np.ndarray) -> np.ndarray:
     """
     count, n = len(g), g.shape[-1]
     cols = n - 1 if n <= 4 else n
-    with lane_buffers() as scratch:
+    with lane_buffer(3 * count * n, complex) as rows:
         # temporaries in lane scratch, batch-last, so that each einsum loops over the samples innermost
-        rows = scratch.take((cols + 3) * count * n, complex).reshape(cols + 3, count * n)
-        qc, (c, t, w) = rows[:cols].reshape(-1), (r.reshape(n, count).T for r in rows[cols:])
+        c, t, w = (r.reshape(n, count).T for r in rows.reshape(3, count * n))
         for j in range(cols):
             v = g[:, :, j]
             if j:
                 q = g[:, :, :j]
-                qcj = np.conjugate(q, out=qc[: count * n * j].reshape(n, j, count).transpose(2, 0, 1))
                 for _ in range(2):
-                    cj = np.einsum("kil,ki->kl", qcj, v, out=c[:, :j])
-                    v = np.subtract(v, np.einsum("kil,kl->ki", q, cj, out=t), out=w)
+                    # conj(sum_i q_il conj(v_i)) is sum_i conj(q_il) v_i bit for bit, without a conjugated copy of
+                    # q; conj(v) is read only before t is written, so it borrows t
+                    cj = np.einsum("kil,ki->kl", q, np.conjugate(v, out=t), out=c[:, :j])
+                    v = np.subtract(v, np.einsum("kil,kl->ki", q, np.conjugate(cj, out=cj), out=t), out=w)
             norm = np.sqrt(np.einsum("ki,ki->k", v.real, v.real) + np.einsum("ki,ki->k", v.imag, v.imag))
             np.divide(v, norm[:, None], out=g[:, :, j])
     if cols == n:
@@ -205,8 +205,8 @@ def _orthonormalize(g: np.ndarray) -> np.ndarray:
 
 def _haar_slice(n: int, seed: int, start: int, q: np.ndarray) -> None:
     """Fill `q`, a complex `(count, n, n)` array, with Haar samples `start ..`, on the calling thread."""
-    with lane_buffers() as scratch:
-        z = counter_normals(seed, start, len(q), 2 * n * n, out=scratch.take(len(q) * _padded_budget(2 * n * n)))
+    with lane_buffer(len(q) * _padded_budget(2 * n * n)) as buf:
+        z = counter_normals(seed, start, len(q), 2 * n * n, out=buf)
         q.real, q.imag = z[:, : n * n].reshape(q.shape), z[:, n * n :].reshape(q.shape)
     # Q does not depend on the Ginibre scale 1/sqrt(2), so it is not applied
     q[:, :, 0] /= _orthonormalize(q)[:, None]
@@ -230,6 +230,8 @@ def haar_batch(n: int, seed: int, start: int, count: int, *, out: np.ndarray | N
     check_seed(seed)
     if out is None:
         out = np.empty((count, n, n), dtype=complex)
+    elif not isinstance(out, np.ndarray) or out.shape != (count, n, n) or out.dtype != complex:
+        raise ValidationError(f"out must be a complex array of shape {(count, n, n)}")
     for _ in over_slices(count, lambda a, b: _haar_slice(n, seed, start + a, out[a:b])):
         pass
     return out
@@ -491,11 +493,10 @@ def _haar_average(n: int, seed: int, samples: int, f) -> tuple[np.ndarray, np.nd
     check_samples(samples)
 
     def partial(a: int, b: int) -> tuple:
-        with lane_buffers() as scratch:
-            u = scratch.take((b - a) * n * n, complex).reshape(n, n, b - a).transpose(2, 0, 1)
-            v = f(haar_batch(n, seed, a, b - a, out=u))
+        with lane_buffer((b - a) * n * n, complex) as buf:
+            v = f(haar_batch(n, seed, a, b - a, out=buf.reshape(n, n, b - a).transpose(2, 0, 1)))
             m = v.mean(axis=0)
-            d = v - m
+            d = np.subtract(v, m, out=v)
         return b - a, m, np.array([np.square(d.real).sum(axis=0), np.square(d.imag).sum(axis=0)])
 
     _, mean, m2 = reduce(_merge_moments, over_slices(samples, partial))

@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._streams import _as_index, _padded_budget, check_samples, check_seed, counter_normals, lane_buffers, over_slices
+from ._streams import _as_index, _padded_budget, check_samples, check_seed, counter_normals, lane_buffer, over_slices
 from .algebra import GellMannBasis, _hermitian, gell_mann_basis
 from .config import TOLERANCES
 from .errors import DomainError, ValidationError
@@ -122,13 +122,15 @@ class KernelSpectrum:
 
 @dataclass(frozen=True)
 class KernelMatrix:
-    """A Hermitian Stratonovich-Weyl kernel `Delta` at one phase-space point; construction checks `delta`."""
+    """A Hermitian Stratonovich-Weyl kernel `Delta` at one phase-space point; keeps a checked, read-only copy of `delta`."""
 
     dim_n: int
     delta: np.ndarray
 
     def __post_init__(self):
-        _hermitian(self.delta, "kernel matrix", _as_index(self.dim_n, "N", 2))
+        delta = _hermitian(self.delta, "kernel matrix", _as_index(self.dim_n, "N", 2)).copy()
+        delta.setflags(write=False)
+        object.__setattr__(self, "delta", delta)
 
 
 def moduli_point(n: int, mu: Sequence[float]) -> ModuliPoint:
@@ -279,8 +281,8 @@ def moduli_domain_fraction(n: int, samples: int, seed: int) -> float:
     kappa = _kernel_scale(n)
 
     def hits(a: int, b: int) -> int:
-        with lane_buffers() as scratch:
-            x = counter_normals(seed, a, b - a, n - 1, out=scratch.take((b - a) * _padded_budget(n - 1)))
+        with lane_buffer((b - a) * _padded_budget(n - 1)) as buf:
+            x = counter_normals(seed, a, b - a, n - 1, out=buf)
             mu = x / np.linalg.norm(x, axis=1, keepdims=True)
         diag = (1.0 + kappa * mu @ basis.cartan_diagonals) / n
         return int(np.all(np.diff(diag, axis=1) <= 0.0, axis=1).sum())
@@ -311,6 +313,4 @@ def assemble_kernel(p: ModuliPoint, u: np.ndarray, basis: GellMannBasis) -> Kern
     u = PhasePoint(n, u).u
     diag = kernel_diagonal(p, basis)
     delta = (u * diag) @ u.conj().T
-    delta = (delta + delta.conj().T) / 2.0
-    delta.setflags(write=False)
-    return KernelMatrix(dim_n=n, delta=delta)
+    return KernelMatrix(dim_n=n, delta=(delta + delta.conj().T) / 2.0)

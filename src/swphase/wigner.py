@@ -20,7 +20,7 @@ from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
-from ._streams import counter_normals
+from ._streams import _as_index, counter_normals, lane_buffer
 from .algebra import GellMannBasis, _hermitian, gell_mann_basis
 from .config import TOLERANCES
 from .errors import DomainError, NumericalIntegrityError, ValidationError
@@ -188,7 +188,10 @@ def chart_wf(
 
 def _delta_batch(u: np.ndarray, diag: np.ndarray) -> np.ndarray:
     """Kernels `U P U^dag` for a batch of unitaries, shape `(count, n, n)`, laid out like `u`."""
-    return np.einsum("kij,j,klj->kil", u, diag, u.conj())
+    count, n, _ = u.shape
+    # `u` conjugated into a batch-last lane buffer, the level below the slice's, idle once the slice is drawn
+    with lane_buffer(u.size, complex) as buf:
+        return np.einsum("kij,j,klj->kil", u, diag, np.conjugate(u, out=buf.reshape(n, n, count).transpose(2, 0, 1)))
 
 
 def _symbol_batch(delta: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -250,6 +253,8 @@ def reconstruct_state(
         w = np.asarray(wf_sampler(u), dtype=float)
         if w.shape != (len(u),):
             raise ValidationError(f"wf_sampler returned shape {w.shape}, expected ({len(u)},)")
+        if not np.all(np.isfinite(w)):
+            raise ValidationError("wf_sampler returned non-finite Wigner values")
         delta = _delta_batch(u, diag)
         # into the memory of `u`, unused once the kernels are built; C-ordered, so the mean adds the samples in order
         return np.multiply(n * w[:, None, None], delta, out=u.transpose(1, 2, 0).reshape(u.shape))
@@ -345,7 +350,8 @@ def check_covariance(
 
 
 def seeded_hermitian(n: int, seed: int) -> np.ndarray:
-    """A reproducible random Hermitian matrix with O(1) entries, for integral checks."""
+    """A reproducible random Hermitian matrix with O(1) entries, for integral checks; N >= 2."""
+    n = _as_index(n, "N", 2)
     z = counter_normals(seed, 0, 1, 2 * n * n)[0]
     g = (z[: n * n] + 1j * z[n * n :]).reshape(n, n)
     return (g + g.conj().T) / 2.0

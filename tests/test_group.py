@@ -185,6 +185,15 @@ def test_haar_batch_returns_no_lane_buffer():
     assert haar_batch(3, 1, 0, 100, out=out) is out and np.array_equal(out, kept)
 
 
+def test_haar_batch_refuses_a_wrong_out_before_drawing():
+    # a short, real or single-precision out is refused before a sample is written
+    for out in (np.empty((4, 3, 3), dtype=complex), np.zeros((5, 3, 3)), np.zeros((5, 3, 3), dtype=np.complex64)):
+        kept = out.copy()
+        with pytest.raises(ValidationError, match="out must be a complex array of shape"):
+            haar_batch(3, 0, 0, 5, out=out)
+        assert np.array_equal(out, kept)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_haar_batch_batch_last_matches_c_order(n):
     # the Monte Carlo slices are batch-last views; N=5 takes the LAPACK determinant, and the
@@ -206,12 +215,12 @@ def test_counter_normals_leave_no_large_scratch(monkeypatch):
     def run():
         counter_normals(0, 0, 10**5, 8)
         moduli_domain_fraction(9, 10**5, 0)  # 8 normals per sample, as above
-        sizes.extend(a.size for s in _streams._LANE.free for a in s.values())
+        sizes.extend(buf.nbytes for buf in _streams._LANE.free)
 
     worker = threading.Thread(target=run)
     worker.start()
     worker.join(timeout=30)
-    assert sizes and max(sizes) <= _streams._SLICE * 8
+    assert sizes and max(sizes) <= _streams._SLICE * 8 * 8
 
 
 def _peak_rss_mib(samples: int) -> float:

@@ -10,6 +10,7 @@ from swphase import (
     QUTRIT_NU_MAX,
     QUTRIT_NU_MIN,
     DomainError,
+    KernelMatrix,
     KernelSpectrum,
     ValidationError,
     assemble_kernel,
@@ -251,6 +252,16 @@ def test_assemble_kernel_covariant(basis3):
 def test_assemble_kernel_rejects_non_unitary(basis3):
     with pytest.raises(ValidationError):
         assemble_kernel(qutrit_mu(-0.5), np.ones((3, 3)), basis3)
+
+
+def test_kernel_matrix_keeps_a_read_only_copy(basis3):
+    # a later write to the caller's array cannot make a checked kernel non-Hermitian
+    d = assemble_kernel(qutrit_mu(-0.5), haar_sample(3, seed=3).u, basis3).delta.copy()
+    k = KernelMatrix(3, d)
+    d[0, 0] = 5.0
+    assert k.delta[0, 0] != 5.0 and not k.delta.flags.writeable
+    with pytest.raises(ValueError):
+        k.delta[0, 0] = 5.0
 
 
 def test_moduli_point_validation():

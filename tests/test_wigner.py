@@ -251,6 +251,35 @@ def test_reconstruction_guards():
         state_wf_sampler(rho_from_bloch(3, np.zeros(8)), MU2)
     with pytest.raises(ValidationError, match="does not match"):
         reconstruct_state(lambda u: np.zeros(len(u)), 3, MU2, 2_000, seed=0)
+    # a NaN or an infinity from the sampler is refused, not averaged into rho_hat
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValidationError, match="non-finite Wigner values"):
+            reconstruct_state(lambda u: np.full(len(u), bad), 3, qutrit_mu(-0.5), 1_000, seed=0)
+
+
+def test_lane_holds_one_slice_buffer_per_nesting_level(monkeypatch):
+    # on a fresh thread with one lane: the slice's unitaries are one level, and the normals, the
+    # Gram-Schmidt rows and the conjugates for the kernels share the level below
+    monkeypatch.setattr(_streams, "_cores", lambda: 1)
+    n, p = 6, moduli_point(6, [0.2, 0.4, 0.4, 0.4, math.sqrt(0.48)])
+    held = []
+
+    def run():
+        check_traciality(seeded_hermitian(n, 1), seeded_hermitian(n, 2), p, _streams._SLICE + 5, seed=1)
+        reconstruct_state(state_wf_sampler(rho_from_bloch(n, np.zeros(n * n - 1)), p), n, p, _streams._SLICE + 5, 2)
+        held.append(sum(buf.nbytes for buf in _streams._LANE.free))
+
+    worker = threading.Thread(target=run)
+    worker.start()
+    worker.join(timeout=60)
+    assert held and held[0] <= 2 * _streams._SLICE * n * n * 16
+
+
+def test_seeded_hermitian_needs_n_of_two_or_more():
+    # N < 2 is refused, as by every other entry that takes N
+    for n in (1, 0, 2.5):
+        with pytest.raises(DomainError):
+            seeded_hermitian(n, 0)
 
 
 def test_engine_results_same_on_any_cpu_count(monkeypatch):
