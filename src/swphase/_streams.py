@@ -1,4 +1,4 @@
-"""Counter-based random substreams, and the slice engine every Monte Carlo loop runs on.
+"""Counter-based random substreams, the slice engine every Monte Carlo loop runs on, and the package's input rules.
 
 Every Monte Carlo routine in this package draws sample `k` of a run from a
 Philox block addressed by `(seed, k)` rather than from a sequential generator
@@ -29,7 +29,7 @@ from itertools import starmap
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, ValidationError
 
 __all__ = ["counter_uniforms", "counter_normals", "check_seed", "check_samples", "over_slices", "lane_buffer"]
 
@@ -73,6 +73,29 @@ def _as_index(value, name: str, low: int) -> int:
     if index < low:
         raise DomainError(f"{name} must be at least {low}, got {index}")
     return index
+
+
+def _as_array(value, name: str, dtype: type = float, *, finite: bool = True) -> np.ndarray:
+    """A new array of `value` as `dtype`, float or complex; `ValidationError` naming `name` on an entry that is not a
+    number (a string, a complex entry of a real field, a ragged list) and, if `finite`, on a NaN or an infinity."""
+    try:
+        raw = np.asarray(value)
+        if raw.dtype.kind not in ("biufcO" if dtype is complex else "biufO"):
+            raise TypeError(f"{raw.dtype} entries")
+        array = raw.astype(dtype)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{name} must hold {np.dtype(dtype)} numbers: {exc}") from None
+    if finite and not np.isfinite(array).all():
+        raise ValidationError(f"{name} has non-finite entries")
+    return array
+
+
+def _freeze(record, **fields) -> None:
+    """Set `fields` on the frozen dataclass `record`, each array among them made read-only."""
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        object.__setattr__(record, name, value)
 
 
 def counter_uniforms(seed: int, start: int, count: int, width: int, *, out: np.ndarray | None = None) -> np.ndarray:

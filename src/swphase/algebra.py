@@ -10,12 +10,12 @@ their conventional order.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
 
-from ._streams import _as_index
+from ._streams import _as_array, _as_index, _freeze
 from .config import TOLERANCES
 from .errors import DomainError, ValidationError
 
@@ -42,7 +42,7 @@ class GellMannBasis:
         n = _as_index(self.dim_n, "N", 2)
         if 16 * (n * n - 1) * n * n > np.iinfo(np.intp).max:  # the bytes of its complex generator array
             raise DomainError(f"N={n} is too large for its Gell-Mann basis: its generator array exceeds np.intp in bytes")
-        object.__setattr__(self, "dim_n", n)
+        _freeze(self, dim_n=n)
 
     @property
     def cartan_indices(self) -> tuple[int, ...]:
@@ -82,12 +82,22 @@ class GellMannBasis:
         return mats
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymmetricStructureTensor:
-    """Totally symmetric structure constants `d[a,b,c] = tr({g_a, g_b} g_c) / 4`."""
+    """Totally symmetric structure constants `d[a,b,c] = tr({g_a, g_b} g_c) / 4` of su(N), computed from N alone.
+
+    `d` is real, read-only and invariant under all index permutations; for N=2 it vanishes identically.
+    """
 
     dim_n: int
-    d: np.ndarray
+    d: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        basis = gell_mann_basis(self.dim_n)  # checks N
+        g = basis.generators
+        prod = np.einsum("aij,bjk->abik", g, g)
+        anti = prod + np.transpose(prod, (1, 0, 2, 3))
+        _freeze(self, dim_n=basis.dim_n, d=np.einsum("abik,cki->abc", anti, g).real / 4.0)
 
 
 @lru_cache(maxsize=None, typed=True)  # typed, so that 2.0 cannot hit the entry of 2
@@ -100,34 +110,22 @@ def gell_mann_basis(n: int) -> GellMannBasis:
 
 
 def symmetric_structure_constants(basis: GellMannBasis) -> SymmetricStructureTensor:
-    """Compute the symmetric structure constants of `basis`.
-
-    Uses the defining anticommutator trace `d[a,b,c] = tr({g_a, g_b} g_c) / 4`,
-    which is real and invariant under all index permutations.  For N=2 the
-    tensor vanishes identically.
-    """
-    g = basis.generators
-    prod = np.einsum("aij,bjk->abik", g, g)
-    anti = prod + np.transpose(prod, (1, 0, 2, 3))
-    d = np.einsum("abik,cki->abc", anti, g).real / 4.0
-    d.setflags(write=False)
-    return SymmetricStructureTensor(dim_n=basis.dim_n, d=d)
+    """The symmetric structure constants of `basis`: `SymmetricStructureTensor(basis.dim_n)`."""
+    return SymmetricStructureTensor(basis.dim_n)
 
 
 def _hermitian(m, name: str, n: int | None = None) -> np.ndarray:
-    """`m` as a complex array, after checking it is a finite Hermitian square matrix (N x N when `n` is given).
+    """`m` as a new complex array, after checking it is a finite Hermitian square matrix (N x N when `n` is given).
 
     The one Hermitian check of the package: raises `ValidationError` naming
     `name` on a wrong shape, a non-finite entry or an anti-Hermitian part
     above the algebraic tolerance.
     """
-    m = np.asarray(m, dtype=complex)
+    # finite first, so that a NaN or inf entry is reported as such, not as an anti-Hermitian part
+    m = _as_array(m, name, complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or (n is not None and m.shape[0] != n):
         want = "square" if n is None else f"{n}x{n}"
         raise ValidationError(f"{name} must be a {want} matrix, got shape {m.shape}")
-    # checked first, so that a NaN or inf entry is reported as such, not as an anti-Hermitian part
-    if not np.all(np.isfinite(m)):
-        raise ValidationError(f"{name} has non-finite entries")
     if not np.all(np.abs(m - m.conj().T) <= TOLERANCES.algebraic):
         raise ValidationError(f"{name} is not Hermitian within tolerance")
     return m

@@ -25,7 +25,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ._streams import _as_index, _padded_budget, check_samples, check_seed, counter_normals, lane_buffer, over_slices
+from ._streams import _as_array, _as_index, _freeze, _padded_budget
+from ._streams import check_samples, check_seed, counter_normals, lane_buffer, over_slices
 from .algebra import GellMannBasis, expand_in_basis, gell_mann_basis
 from .config import TOLERANCES
 from .errors import DomainError, ValidationError
@@ -55,18 +56,17 @@ __all__ = [
 _MOMENT_MIN_SAMPLES = 10_000
 
 
-def _check_chart(label: str, **ranges: tuple) -> None:
-    """Raise `ValidationError` on a non-finite angle, and warn of one outside [0, hi]; `ranges` is name -> (value, hi)."""
-    bad = [name for name, (value, _) in ranges.items() if not np.all(np.isfinite(value))]
-    if bad:
-        raise ValidationError(f"{label} must be finite: {', '.join(bad)}")
-    off = [name for name, (value, hi) in ranges.items() if not np.all((0.0 <= value) & (value <= hi))]
+def _check_chart(chart, label: str, **ranges: float) -> None:
+    """Freeze each angle of `chart` as a finite float array, warning of one outside [0, hi]; `ranges` is name -> hi."""
+    angles = {name: _as_array(getattr(chart, name), f"{label} {name}") for name in ranges}
+    off = [name for name, hi in ranges.items() if not np.all((0.0 <= angles[name]) & (angles[name] <= hi))]
     if off:
         # above this frame: __post_init__, the dataclass __init__, then the caller
         warnings.warn(f"{label} outside the chart ranges: {', '.join(off)}", stacklevel=4)
+    _freeze(chart, **angles)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EulerSU3:
     """Euler angles of the SU(3) chart `V(alpha,beta,gamma) e^{i theta g5} V(a,b,c) e^{i phi g8}`.
 
@@ -77,6 +77,7 @@ class EulerSU3:
     this module hold for all real angles, and tests sweep freely.  Angles may
     be arrays that broadcast together, an open mesh's axes; the closed forms
     then return one frame vector per point, and ranges are checked per array.
+    Each angle is kept as a read-only float array, 0-d for a number.
     """
 
     alpha: float = 0.0
@@ -89,53 +90,43 @@ class EulerSU3:
     phi: float = 0.0
 
     def __post_init__(self):
-        _check_chart(
-            "Euler angle(s)",
-            alpha=(self.alpha, 2.0 * math.pi),
-            beta=(self.beta, math.pi),
-            gamma=(self.gamma, 4.0 * math.pi),
-            a=(self.a, 2.0 * math.pi),
-            b=(self.b, math.pi),
-            c=(self.c, 4.0 * math.pi),
-            theta=(self.theta, math.pi / 2.0),
-            phi=(self.phi, math.sqrt(3.0) * math.pi),
-        )
+        _check_chart(self, "Euler angle(s)", alpha=2.0 * math.pi, beta=math.pi, gamma=4.0 * math.pi, a=2.0 * math.pi,
+                     b=math.pi, c=4.0 * math.pi, theta=math.pi / 2.0, phi=math.sqrt(3.0) * math.pi)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EulerSU2:
     """Angles of the qubit coset chart `e^{i alpha/2 s3} e^{i beta/2 s2} e^{-i alpha/2 s3}`, or arrays of them.
 
-    Non-finite angles raise `ValidationError`; finite ones outside [0, 2pi] x [0, pi] only warn.
+    Non-finite angles raise `ValidationError`; finite ones outside [0, 2pi] x [0, pi] only warn.  Each angle is
+    kept as a read-only float array, as `EulerSU3` keeps its angles.
     """
 
     alpha: float = 0.0
     beta: float = 0.0
 
     def __post_init__(self):
-        _check_chart("qubit chart angle(s)", alpha=(self.alpha, 2.0 * math.pi), beta=(self.beta, math.pi))
+        _check_chart(self, "qubit chart angle(s)", alpha=2.0 * math.pi, beta=math.pi)
 
 
 def _unitary(u, n: int, name: str) -> np.ndarray:
-    """`u` as a complex array, after checking it is a finite N x N unitary matrix.
+    """`u` as a new complex array, after checking it is a finite N x N unitary matrix.
 
     The one unitarity check of the package: raises `ValidationError` naming
     `name` on a wrong shape, a non-finite entry or a departure from
     `U^dag U = I` above the spectral tolerance.
     """
-    u = np.asarray(u, dtype=complex)
+    u = _as_array(u, name, complex)
     if u.shape != (n, n):
         raise ValidationError(f"{name} must be a {n}x{n} matrix, got shape {u.shape}")
-    if not np.all(np.isfinite(u)):
-        raise ValidationError(f"{name} has non-finite entries")
     if np.max(np.abs(u.conj().T @ u - np.eye(n))) > TOLERANCES.spectral:
         raise ValidationError(f"{name} is not unitary within tolerance")
     return u
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhasePoint:
-    """A phase-space point: a special-unitary matrix, optionally with its Euler chart."""
+    """A phase-space point: a read-only copy of a special-unitary matrix, optionally with its Euler chart."""
 
     dim_n: int
     u: np.ndarray
@@ -145,9 +136,7 @@ class PhasePoint:
         u = _unitary(self.u, _as_index(self.dim_n, "N", 2), "phase-space matrix")
         if abs(np.linalg.det(u) - 1.0) > TOLERANCES.spectral:
             raise ValidationError("phase-space matrix determinant differs from 1 beyond tolerance")
-        u = u.copy()
-        u.setflags(write=False)
-        object.__setattr__(self, "u", u)
+        _freeze(self, dim_n=len(u), u=u)
 
 
 def _cofactors(q: np.ndarray) -> list:

@@ -29,7 +29,8 @@ from typing import Sequence
 
 import numpy as np
 
-from ._streams import _as_index, _padded_budget, check_samples, check_seed, counter_normals, lane_buffer, over_slices
+from ._streams import _as_array, _as_index, _freeze, _padded_budget
+from ._streams import check_samples, check_seed, counter_normals, lane_buffer, over_slices
 from .algebra import GellMannBasis, _hermitian, gell_mann_basis
 from .config import TOLERANCES
 from .errors import DomainError, ValidationError
@@ -60,7 +61,7 @@ QUTRIT_NU_MIN = -1.0
 QUTRIT_NU_MAX = -1.0 / 3.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModuliPoint:
     """A unit vector `mu` of Cartan coefficients selecting one kernel family member.
 
@@ -74,19 +75,16 @@ class ModuliPoint:
 
     def __post_init__(self):
         n = _as_index(self.dim_n, "N", 2)
-        vec = np.array(self.mu, dtype=float)
+        vec = _as_array(self.mu, "moduli vector")
         if vec.shape != (n - 1,):
             raise ValidationError(f"moduli vector for N={n} must have length {n - 1}, got shape {vec.shape}")
-        if not np.all(np.isfinite(vec)):
-            raise ValidationError(f"moduli vector must be finite, got {vec.tolist()}")
         norm = float(vec @ vec)
         if abs(norm - 1.0) > TOLERANCES.algebraic:
             raise ValidationError(f"moduli vector must be unit length, got |mu|^2 = {norm!r}")
-        vec.setflags(write=False)
-        object.__setattr__(self, "mu", vec)
+        _freeze(self, dim_n=n, mu=vec)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KernelSpectrum:
     """Kernel eigenvalues, sorted descending and read-only on construction, with their degeneracy bookkeeping.
 
@@ -104,23 +102,20 @@ class KernelSpectrum:
     degenerate: bool = field(init=False)
 
     def __post_init__(self):
-        eigs = np.asarray(self.eigenvalues, dtype=float)
-        if eigs.ndim != 1 or eigs.size < 2 or not np.all(np.isfinite(eigs)):
-            raise ValidationError(f"a kernel spectrum needs two or more finite eigenvalues, got {eigs.tolist()}")
+        eigs = _as_array(self.eigenvalues, "kernel spectrum")
+        if eigs.ndim != 1 or eigs.size < 2:
+            raise ValidationError(f"a kernel spectrum needs two or more eigenvalues, got {eigs.tolist()}")
         eigs = np.sort(eigs)[::-1].copy()
-        eigs.setflags(write=False)
         starts = np.flatnonzero(-np.diff(eigs) > TOLERANCES.degeneracy_gap) + 1  # of every group but the first
-        object.__setattr__(self, "eigenvalues", eigs)
-        object.__setattr__(self, "multiplicities", tuple(int(k) for k in np.diff(starts, prepend=0, append=eigs.size)))
-        object.__setattr__(self, "flag_dims", tuple(int(k) for k in starts))
-        object.__setattr__(self, "degenerate", starts.size < eigs.size - 1)
+        _freeze(self, eigenvalues=eigs, flag_dims=tuple(int(k) for k in starts), degenerate=starts.size < eigs.size - 1,
+                multiplicities=tuple(int(k) for k in np.diff(starts, prepend=0, append=eigs.size)))
 
     @property
     def dim_n(self) -> int:
         return len(self.eigenvalues)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KernelMatrix:
     """A Hermitian Stratonovich-Weyl kernel `Delta` at one phase-space point; keeps a checked, read-only copy of `delta`."""
 
@@ -128,9 +123,8 @@ class KernelMatrix:
     delta: np.ndarray
 
     def __post_init__(self):
-        delta = _hermitian(self.delta, "kernel matrix", _as_index(self.dim_n, "N", 2)).copy()
-        delta.setflags(write=False)
-        object.__setattr__(self, "delta", delta)
+        n = _as_index(self.dim_n, "N", 2)
+        _freeze(self, dim_n=n, delta=_hermitian(self.delta, "kernel matrix", n))
 
 
 def moduli_point(n: int, mu: Sequence[float]) -> ModuliPoint:
@@ -159,9 +153,8 @@ def spectrum_from_moduli(p: ModuliPoint, basis: GellMannBasis) -> KernelSpectrum
 
 
 def _eigenvalues_of(spec: KernelSpectrum | Sequence[float]) -> np.ndarray:
-    if isinstance(spec, KernelSpectrum):
-        return np.asarray(spec.eigenvalues, dtype=float)
-    return np.asarray(spec, dtype=float)
+    """The eigenvalues of a spectrum or of a raw candidate, which may hold a NaN or an infinity to be diagnosed."""
+    return spec.eigenvalues if isinstance(spec, KernelSpectrum) else _as_array(spec, "eigenvalues", finite=False)
 
 
 def verify_master(spec: KernelSpectrum | Sequence[float]) -> tuple[float, float]:
@@ -183,7 +176,8 @@ def _check_nu(nu: float) -> float:
     ten-digit decimal -0.3333333333) clamp onto it; anything farther outside
     the interval is a domain error.
     """
-    nu = float(nu)
+    # a float passes straight on, and the range check refuses NaN and inf
+    nu = float(nu if isinstance(nu, float) else _as_array(nu, "nu", finite=False))
     gap = TOLERANCES.degeneracy_gap
     if not QUTRIT_NU_MIN - gap <= nu <= QUTRIT_NU_MAX + gap:
         raise DomainError(f"nu outside [-1, -1/3]: {nu!r}")
@@ -218,7 +212,7 @@ def qutrit_mu(nu: float) -> ModuliPoint:
 
 def nu_from_zeta(zeta: float) -> float:
     """Map the angular family parameter `zeta in [0, pi/3]` to `nu = 1/3 - (4/3) cos(zeta)`."""
-    zeta = float(zeta)
+    zeta = float(zeta if isinstance(zeta, float) else _as_array(zeta, "zeta", finite=False))  # as `_check_nu` takes nu
     if not 0.0 <= zeta <= math.pi / 3.0 + TOLERANCES.algebraic:
         raise DomainError(f"zeta outside [0, pi/3]: {zeta!r}")
     return 1.0 / 3.0 - 4.0 / 3.0 * math.cos(zeta)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._streams import _as_index
+from ._streams import _as_array, _as_index, _freeze
 from .algebra import SymmetricStructureTensor, _hermitian, expand_in_basis, gell_mann_basis
 from .config import TOLERANCES
 from .errors import InvalidStateError, ValidationError
@@ -28,7 +28,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityState:
     """The density matrix `rho` with Bloch vector `bloch`, built on construction.
 
@@ -43,21 +43,15 @@ class DensityState:
 
     def __post_init__(self):
         n = _as_index(self.dim_n, "N", 2)
-        xi = np.array(self.bloch, dtype=float)
+        xi = _as_array(self.bloch, "Bloch vector")
         if xi.shape != (n * n - 1,):
             raise ValidationError(f"Bloch vector for N={n} must have length {n * n - 1}, got shape {xi.shape}")
-        if not np.all(np.isfinite(xi)):
-            raise ValidationError(f"Bloch vector must be finite, got {xi.tolist()}")
         rho = (np.eye(n) + bloch_scale(n) * np.einsum("a,aij->ij", xi, gell_mann_basis(n).generators)) / n
         lo = float(np.linalg.eigvalsh(rho)[0])
         if lo < -TOLERANCES.spectral:
             raise InvalidStateError(f"Bloch vector yields a non-positive matrix (min eigenvalue {lo:.3e})",
                                     min_eigenvalue=lo)
-        rho.setflags(write=False)
-        xi.setflags(write=False)
-        object.__setattr__(self, "dim_n", n)
-        object.__setattr__(self, "bloch", xi)
-        object.__setattr__(self, "rho", rho)
+        _freeze(self, dim_n=n, bloch=xi, rho=rho)
 
 
 def bloch_scale(n: int) -> float:
@@ -96,7 +90,7 @@ def qutrit_bloch_constraints(
     determinant).  The comparison uses the algebraic tolerance so boundary
     states (pure states, rank-2 states) are accepted despite round-off.
     """
-    xi = np.asarray(xi, dtype=float)
+    xi = _as_array(xi, "qutrit Bloch vector")
     if xi.shape != (8,):
         raise ValidationError(f"qutrit Bloch vector must have length 8, got shape {xi.shape}")
     if d.dim_n != 3:
@@ -117,8 +111,7 @@ def state_as_dict(state: DensityState) -> dict:
 def state_from_dict(payload: dict) -> DensityState:
     """Inverse of `state_as_dict`, with full validation."""
     try:
-        n = _as_index(payload["n"], "n", 2)  # a DomainError is a ValueError: reported as a malformed payload
-        bloch = np.asarray(payload["bloch"], dtype=float)
+        n, bloch = _as_index(payload["n"], "n", 2), payload["bloch"]  # a DomainError is reported as a malformed payload
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed state payload: {exc}") from exc
     return rho_from_bloch(n, bloch)

@@ -177,8 +177,11 @@ def chart_wf(
     `kernel` is a moduli point, or a qutrit family parameter taken through
     `qutrit_mu` as in `qutrit_wf`.  `xi` is a Bloch vector, checked here, or a
     `DensityState`, taken as built.  The angle ranges are checked once for all
-    points; omitted angles are 0.
+    points; omitted angles are 0, and an angle the chart lacks is a `ValidationError`.
     """
+    stray = [name for name in angles if name not in chart.angles]
+    if stray:
+        raise ValidationError(f"the {chart.name} chart has no angle(s) {', '.join(map(str, stray))}")
     p = kernel if isinstance(kernel, ModuliPoint) else qutrit_mu(kernel)
     state = xi if isinstance(xi, DensityState) else rho_from_bloch(p.dim_n, xi)
     if state.dim_n != p.dim_n:

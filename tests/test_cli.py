@@ -1,5 +1,7 @@
 """Command-line interface: contracts, exit codes, determinism, and format parity."""
+import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -10,6 +12,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import swphase.cli
 import swphase.wigner
@@ -875,3 +879,55 @@ def test_handler_replaced_after_first_call_runs(monkeypatch, capsys):
     monkeypatch.setattr(swphase.cli, "cmd_spectrum", wrapper)
     assert run(capsys, *argv) == unwrapped
     assert calls == ["spectrum"]
+
+
+#: One field of a comma list or grid spec: finite numbers, non-finite ones, a complex number, a word and nothing.
+FIELDS = st.sampled_from(["0", "0.6", "0.8", "1", "-1", "0.1", "nan", "inf", "-inf", "1j", "x", ""])
+
+
+@st.composite
+def argument_lists(draw):
+    """Argument lists that argparse takes, for commands that run in milliseconds at N <= 3 and 2,000 samples."""
+    command = draw(st.sampled_from(["spectrum", "moduli-sample", "wigner-eval", "reconstruct"]))
+    n = draw(st.sampled_from([-1, 0, 1, 2, 3] + ([] if command == "reconstruct" else [10**6])))
+    argv = [command, "--n", str(n)]
+
+    def fields(right: int, first: str) -> str:  # half the time at N = 2, 3 a valid vector `first,0,...,0`
+        if 2 <= n <= 3 and draw(st.booleans()):
+            return ",".join([first] + ["0"] * (right - 1))
+        length = draw(st.sampled_from([min(max(right, 1), 8), 1, 2, 9]))
+        return ",".join(draw(st.lists(FIELDS, min_size=length, max_size=length)))
+
+    if command != "moduli-sample":
+        kernel = draw(st.sampled_from(["none", "nu", "mu"]))
+        if kernel == "nu":
+            argv.append("--nu=" + draw(st.sampled_from(["-0.5", "-1", "-0.3333333333", "0", "nan", "inf", "-inf"])))
+        elif kernel == "mu":
+            argv.append("--mu=" + fields(n - 1, "1"))
+    if command in ("wigner-eval", "reconstruct"):
+        argv.append("--state=" + fields(n * n - 1, "0"))
+    if command == "wigner-eval":
+        for name in draw(st.lists(st.sampled_from(["alpha", "beta", "gamma", "theta"]), max_size=2)):
+            count = draw(st.sampled_from([1, 2, 10]))  # at most 100 points
+            start, stop = ("0", "1") if draw(st.booleans()) else (draw(FIELDS), draw(FIELDS))
+            argv.append(f"--grid={name}={start}:{stop}:{count}")
+    if command in ("moduli-sample", "reconstruct"):
+        argv += ["--samples", draw(st.sampled_from(["0", "999", "1000", "2000"]))]
+        argv += ["--seed", draw(st.sampled_from(["0", "-1", "7"]))]
+    return argv
+
+
+@settings(max_examples=150, deadline=2000)
+@given(argv=argument_lists())
+def test_cli_fuzz_exits_0_1_or_2_with_one_error_line(argv):
+    # any argument list argparse takes ends in an exit code, never a traceback; a refused one writes
+    # nothing to stdout and exactly one line to stderr
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # angles outside the chart ranges warn and still evaluate
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    assert "Traceback" not in err.getvalue()

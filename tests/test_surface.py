@@ -1,9 +1,10 @@
-"""The public surface: one list of names per module, and no unused imports.
+"""The public surface: one list of names per module, no unused imports, and one way to freeze a record.
 
 The package exports the union of its modules' `__all__` lists; this file
 pins the names the package has promised so far, checks that every listed
 name exists and belongs to one module only, and lints the sources for
-top-level imports that nothing uses.
+top-level imports that nothing uses and for frozen-record fields set outside
+`_streams._freeze`.
 """
 import ast
 import importlib
@@ -76,3 +77,21 @@ def _unused_imports(path: pathlib.Path) -> list[str]:
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_top_level_imports(path):
     assert not _unused_imports(path)
+
+
+def _object_setattr_calls(path: pathlib.Path) -> list[str]:
+    tree = ast.parse(path.read_text())
+    return [
+        f"{path.name}:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "__setattr__"
+        and getattr(node.func.value, "id", None) == "object"
+    ]
+
+
+def test_records_are_frozen_by_one_helper():
+    # a frozen dataclass's fields are set by _streams._freeze alone, which also makes their arrays read-only
+    others = [path for path in sorted(SRC.glob("*.py")) if path.name != "_streams.py"]
+    calls = [call for path in others for call in _object_setattr_calls(path)]
+    assert not calls
+    assert _object_setattr_calls(SRC / "_streams.py")  # the lint sees the one call it allows

@@ -1,14 +1,17 @@
-"""Every input validator rejects a NaN or an infinity wherever it sits in the input.
+"""Every input validator rejects a NaN, an infinity or a non-number wherever it sits in the input.
 
 Each case builds a valid input, spoils one drawn entry with a non-finite
-value and calls the validating entry point, which must raise
-`ValidationError` or `DomainError` before any Monte Carlo work.
+value or with one that is not a number, and calls the validating entry
+point, which must raise `ValidationError` or `DomainError` before any
+Monte Carlo work.  The records that hold arrays compare by identity and keep
+read-only copies of them.
 """
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from swphase import (
@@ -18,13 +21,16 @@ from swphase import (
     EulerSU3,
     GellMannBasis,
     KernelMatrix,
+    KernelSpectrum,
     ModuliPoint,
     PhasePoint,
+    SymmetricStructureTensor,
     ValidationError,
     adjoint_matrix,
     adjoint_vector,
     assemble_kernel,
     bloch_from_rho,
+    chart_wf,
     check_covariance,
     check_norm,
     check_standardisation,
@@ -32,19 +38,27 @@ from swphase import (
     expand_in_basis,
     gell_mann_basis,
     haar_sample,
+    isotropy_signature,
+    kernel_chart,
     moduli_point,
+    nu_from_zeta,
+    qutrit_bloch_constraints,
     qutrit_mu,
     rho_from_bloch,
     seeded_hermitian,
     weingarten2_check,
     weingarten4_check,
     wigner_closed_form,
+    zeta_from_nu,
 )
 from swphase.cli import _parse_grid
 
 MODULI = qutrit_mu(-0.5)
 STATE = rho_from_bloch(3, np.full(8, 0.1))
 POINT = haar_sample(3, 4)
+QUBIT = moduli_point(2, [1.0])
+QUBIT_CHART = kernel_chart(QUBIT)
+D3 = SymmetricStructureTensor(3)
 
 # name -> (valid input, call taking the spoiled input)
 CASES = {
@@ -67,7 +81,15 @@ CASES = {
     "KernelMatrix": (assemble_kernel(MODULI, POINT.u, gell_mann_basis(3)).delta, lambda d: KernelMatrix(dim_n=3, delta=d)),
     "DensityState": (STATE.bloch, lambda xi: DensityState(dim_n=3, bloch=xi)),
     "adjoint_matrix": (POINT.u, lambda u: adjoint_matrix(u, gell_mann_basis(3))),
+    "KernelSpectrum": ([0.9, 0.4, -0.3], KernelSpectrum),
+    "isotropy_signature": ([0.9, 0.4, -0.3], isotropy_signature),
+    "qutrit_bloch_constraints": (np.full(8, 0.1), lambda xi: qutrit_bloch_constraints(xi, D3)),
+    "zeta_from_nu": (-0.5, zeta_from_nu),
+    "nu_from_zeta": (0.5, nu_from_zeta),
+    "chart_wf": ([0.5, 1.0], lambda ab: chart_wf(np.zeros(3), QUBIT, QUBIT_CHART, dict(alpha=ab[0], beta=ab[1]))),
 }
+#: Cases whose entries follow the integer rule, which raises `DomainError` on a non-integer.
+INTEGER_CASES = {"weingarten2 indices", "weingarten4 indices"}
 
 
 @pytest.mark.parametrize("case", list(CASES))
@@ -82,6 +104,20 @@ def test_validators_reject_non_finite_entries(case, bad, position, imaginary):
         spoiled = spoiled.tolist()  # as the callers pass plain lists and tuples
     with pytest.raises((ValidationError, DomainError)):
         call(spoiled)
+
+
+@pytest.mark.parametrize("case", list(CASES))
+@settings(max_examples=10, deadline=None)
+@given(bad=st.sampled_from(["x", 1j]), position=st.integers(0, 63))
+def test_validators_reject_entries_that_are_not_numbers(case, bad, position):
+    # a string anywhere, or a complex number in a real-valued input, is a package error, not numpy's
+    # ValueError or TypeError
+    valid, call = CASES[case]
+    assume(bad == "x" or not np.iscomplexobj(valid))
+    spoiled = np.array(valid, dtype=object)
+    spoiled.flat[position % spoiled.size] = bad
+    with pytest.raises(DomainError if case in INTEGER_CASES else ValidationError):
+        call(spoiled.tolist())
 
 
 @pytest.mark.parametrize("case", list(CASES))
@@ -153,3 +189,51 @@ def test_basis_refuses_an_n_too_large_before_building_an_array():
     # 16 (N**2 - 1) N**2 bytes overflow np.intp at N = 10**6: refused by the arithmetic, not by numpy
     with pytest.raises(DomainError, match="exceeds np.intp"):
         GellMannBasis(10**6)
+
+
+@pytest.mark.parametrize("angles", [{"gamma": 0.1}, {"alpha": 0.1, "phi": 0.2}], ids=["gamma", "phi"])
+def test_chart_wf_refuses_an_angle_its_chart_lacks(angles):
+    # the dataclass would raise TypeError on gamma, and the standard chart's EulerSU3 would take phi silently
+    chart, kernel = (QUBIT_CHART, QUBIT) if "gamma" in angles else (kernel_chart(MODULI), MODULI)
+    with pytest.raises(ValidationError, match=f"{chart.name} chart has no angle"):
+        chart_wf(np.zeros(kernel.dim_n**2 - 1), kernel, chart, angles)
+
+
+def test_structure_tensor_is_built_from_n():
+    # d is derived from N, so it cannot be passed in wrong; N itself follows the integer rule
+    assert SymmetricStructureTensor(3).d.shape == (8, 8, 8)
+    with pytest.raises(TypeError):
+        SymmetricStructureTensor(3, np.zeros(1))
+    for n in (1, 2.0, "3"):
+        with pytest.raises(DomainError):
+            SymmetricStructureTensor(n)
+
+
+#: Array records: name -> (a new writable input array or None, the record built from it).
+AXIS = np.linspace(0.0, 1.0, 4)
+RECORDS = {
+    "ModuliPoint": (lambda: np.array([0.6, 0.8]), lambda mu: ModuliPoint(3, mu)),
+    "KernelSpectrum": (lambda: np.array([0.9, 0.4, -0.3]), KernelSpectrum),
+    "KernelMatrix": (lambda: np.array(CASES["KernelMatrix"][0]), lambda delta: KernelMatrix(3, delta)),
+    "DensityState": (lambda: np.full(8, 0.1), lambda xi: DensityState(3, xi)),
+    "PhasePoint": (lambda: np.array(POINT.u), lambda u: PhasePoint(3, u)),
+    "EulerSU3": (lambda: AXIS[:, None].copy(), lambda axis: EulerSU3(alpha=axis, beta=AXIS, theta=0.5)),
+    "EulerSU2": (lambda: AXIS.copy(), lambda axis: EulerSU2(alpha=axis, beta=1.0)),
+    "SymmetricStructureTensor": (lambda: None, lambda _: SymmetricStructureTensor(3)),
+}
+
+
+@pytest.mark.parametrize("name", list(RECORDS))
+def test_array_records_compare_by_identity_and_hold_read_only_copies(name):
+    make, build = RECORDS[name]
+    given_array = make()
+    a, b = build(given_array), build(make())
+    assert a == a and not a == b and a != b  # the generated __eq__ would compare arrays and raise
+    assert isinstance(hash(a), int)
+    arrays = {f.name: getattr(a, f.name) for f in dataclasses.fields(a) if isinstance(getattr(a, f.name), np.ndarray)}
+    assert arrays and not any(value.flags.writeable for value in arrays.values())
+    before = {field: value.copy() for field, value in arrays.items()}
+    if given_array is not None:
+        given_array *= -1.0
+    for field, value in arrays.items():
+        assert np.array_equal(getattr(a, field), before[field]), field
