@@ -75,9 +75,10 @@ def _as_index(value, name: str, low: int) -> int:
     return index
 
 
-def _as_array(value, name: str, dtype: type = float, *, finite: bool = True) -> np.ndarray:
-    """A new array of `value` as `dtype`, float or complex; `ValidationError` naming `name` on an entry that is not a
-    number (a string, a complex entry of a real field, a ragged list) and, if `finite`, on a NaN or an infinity."""
+def _as_array(value, name: str, shape: tuple | None, dtype: type = float, *, finite: bool = True) -> np.ndarray:
+    """A new array of `value` as `dtype`, float or complex, of `shape` (`None` any shape, `None` in it any length, `()`
+    one number); `ValidationError` naming `name` on another shape, an entry that is not a number (a string, a complex
+    entry of a real field, a ragged list) and, if `finite`, a NaN or an infinity."""
     try:
         raw = np.asarray(value)
         if raw.dtype.kind not in ("biufcO" if dtype is complex else "biufO"):
@@ -85,6 +86,9 @@ def _as_array(value, name: str, dtype: type = float, *, finite: bool = True) -> 
         array = raw.astype(dtype)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{name} must hold {np.dtype(dtype)} numbers: {exc}") from None
+    if shape is not None and (array.ndim != len(shape) or any(w not in (None, s) for w, s in zip(shape, array.shape))):
+        want = str(tuple("any" if w is None else w for w in shape)).replace("'", "")
+        raise ValidationError(f"{name} must have shape {want}, got shape {array.shape}")
     if finite and not np.isfinite(array).all():
         raise ValidationError(f"{name} has non-finite entries")
     return array

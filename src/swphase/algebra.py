@@ -122,10 +122,9 @@ def _hermitian(m, name: str, n: int | None = None) -> np.ndarray:
     above the algebraic tolerance.
     """
     # finite first, so that a NaN or inf entry is reported as such, not as an anti-Hermitian part
-    m = _as_array(m, name, complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or (n is not None and m.shape[0] != n):
-        want = "square" if n is None else f"{n}x{n}"
-        raise ValidationError(f"{name} must be a {want} matrix, got shape {m.shape}")
+    m = _as_array(m, name, (n, n), complex)
+    if m.shape[0] != m.shape[1]:
+        raise ValidationError(f"{name} must be a square matrix, got shape {m.shape}")
     if not np.all(np.abs(m - m.conj().T) <= TOLERANCES.algebraic):
         raise ValidationError(f"{name} is not Hermitian within tolerance")
     return m

@@ -425,12 +425,15 @@ _ARGUMENTS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):  # its subparsers are _Parser too
+    def error(self, message: str):  # as for every other refused input: one `error: ` line on stderr, exit code 2
+        print("error:", *message.splitlines(), file=sys.stderr)  # an unrecognized argument may hold a newline
+        raise SystemExit(2)
+
+
 @functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="swphase",
-        description="Stratonovich-Weyl kernels and Wigner functions for N-level systems.",
-    )
+    parser = _Parser(prog="swphase", description="Stratonovich-Weyl kernels and Wigner functions for N-level systems.")
     sub = parser.add_subparsers(dest="command", required=True)
     # name, help, argument groups; no handler, as `main` looks cmd_<name> up per call, so a replaced one runs
     commands = [

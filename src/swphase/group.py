@@ -58,7 +58,11 @@ _MOMENT_MIN_SAMPLES = 10_000
 
 def _check_chart(chart, label: str, **ranges: float) -> None:
     """Freeze each angle of `chart` as a finite float array, warning of one outside [0, hi]; `ranges` is name -> hi."""
-    angles = {name: _as_array(getattr(chart, name), f"{label} {name}") for name in ranges}
+    angles = {name: _as_array(getattr(chart, name), f"{label} {name}", None) for name in ranges}
+    try:
+        np.broadcast_shapes(*(angle.shape for angle in angles.values()))  # the axes of an open mesh
+    except ValueError as exc:
+        raise ValidationError(f"{label} do not broadcast together: {exc}") from None
     off = [name for name, hi in ranges.items() if not np.all((0.0 <= angles[name]) & (angles[name] <= hi))]
     if off:
         # above this frame: __post_init__, the dataclass __init__, then the caller
@@ -116,9 +120,7 @@ def _unitary(u, n: int, name: str) -> np.ndarray:
     `name` on a wrong shape, a non-finite entry or a departure from
     `U^dag U = I` above the spectral tolerance.
     """
-    u = _as_array(u, name, complex)
-    if u.shape != (n, n):
-        raise ValidationError(f"{name} must be a {n}x{n} matrix, got shape {u.shape}")
+    u = _as_array(u, name, (n, n), complex)
     if np.max(np.abs(u.conj().T @ u - np.eye(n))) > TOLERANCES.spectral:
         raise ValidationError(f"{name} is not unitary within tolerance")
     return u
@@ -448,7 +450,8 @@ class MomentCheck(NamedTuple):
     sigma: float
 
 
-def _check_moment_args(n: int, indices: Sequence[int], arity: int, samples: int) -> tuple[int, ...]:
+def _check_moment_args(n: int, indices: Sequence[int], arity: int, samples: int) -> tuple[int, tuple[int, ...]]:
+    n = _as_index(n, "N", 2)
     if any(not (isinstance(i, numbers.Real) and math.isfinite(i) and i == int(i)) for i in indices):
         raise DomainError(f"indices must be integers, got {tuple(indices)}")
     idx = tuple(int(i) for i in indices)
@@ -457,7 +460,7 @@ def _check_moment_args(n: int, indices: Sequence[int], arity: int, samples: int)
     if any(not 1 <= i <= n for i in idx):
         raise DomainError(f"indices must lie in 1..{n}, got {idx}")
     _as_index(samples, "samples", _MOMENT_MIN_SAMPLES)
-    return idx
+    return n, tuple(i - 1 for i in idx)
 
 
 def _merge_moments(a: tuple, b: tuple) -> tuple:
@@ -498,9 +501,9 @@ def weingarten2_check(n: int, indices: Sequence[int], samples: int, seed: int) -
     The closed form is `delta_{i l} delta_{j k} / N`.  Indices are 1-based
     `(i, j, k, l)`; `sigma` is the standard error of the real part.
     """
-    i, j, k, l = _check_moment_args(n, indices, 4, samples)
+    n, (i, j, k, l) = _check_moment_args(n, indices, 4, samples)
     cf = (1.0 / n) if (i == l and j == k) else 0.0
-    mc, se = _haar_average(n, seed, samples, lambda u: u[:, i - 1, j - 1] * u[:, l - 1, k - 1].conj())
+    mc, se = _haar_average(n, seed, samples, lambda u: u[:, i, j] * u[:, l, k].conj())
     return MomentCheck(mc=complex(mc), closed_form=cf, sigma=float(se[0]))
 
 
@@ -518,7 +521,7 @@ def weingarten4_check(n: int, indices: Sequence[int], samples: int, seed: int) -
     U(1) phase cancels, so the U(N)-form closed expression applies verbatim
     for every N >= 2.
     """
-    i1, j1, i2, j2, k1, l1, k2, l2 = (i - 1 for i in _check_moment_args(n, indices, 8, samples))
+    n, (i1, j1, i2, j2, k1, l1, k2, l2) = _check_moment_args(n, indices, 8, samples)
     direct = (i1 == l1) * (i2 == l2) * (j1 == k1) * (j2 == k2) + (i1 == l2) * (i2 == l1) * (j1 == k2) * (j2 == k1)
     crossed = (i1 == l1) * (i2 == l2) * (j1 == k2) * (j2 == k1) + (i1 == l2) * (i2 == l1) * (j1 == k1) * (j2 == k2)
     cf = direct / (n * n - 1.0) - crossed / (n * (n * n - 1.0))

@@ -75,9 +75,7 @@ class ModuliPoint:
 
     def __post_init__(self):
         n = _as_index(self.dim_n, "N", 2)
-        vec = _as_array(self.mu, "moduli vector")
-        if vec.shape != (n - 1,):
-            raise ValidationError(f"moduli vector for N={n} must have length {n - 1}, got shape {vec.shape}")
+        vec = _as_array(self.mu, "moduli vector", (n - 1,))
         norm = float(vec @ vec)
         if abs(norm - 1.0) > TOLERANCES.algebraic:
             raise ValidationError(f"moduli vector must be unit length, got |mu|^2 = {norm!r}")
@@ -102,8 +100,8 @@ class KernelSpectrum:
     degenerate: bool = field(init=False)
 
     def __post_init__(self):
-        eigs = _as_array(self.eigenvalues, "kernel spectrum")
-        if eigs.ndim != 1 or eigs.size < 2:
+        eigs = _as_array(self.eigenvalues, "kernel spectrum", (None,))
+        if eigs.size < 2:
             raise ValidationError(f"a kernel spectrum needs two or more eigenvalues, got {eigs.tolist()}")
         eigs = np.sort(eigs)[::-1].copy()
         starts = np.flatnonzero(-np.diff(eigs) > TOLERANCES.degeneracy_gap) + 1  # of every group but the first
@@ -154,7 +152,7 @@ def spectrum_from_moduli(p: ModuliPoint, basis: GellMannBasis) -> KernelSpectrum
 
 def _eigenvalues_of(spec: KernelSpectrum | Sequence[float]) -> np.ndarray:
     """The eigenvalues of a spectrum or of a raw candidate, which may hold a NaN or an infinity to be diagnosed."""
-    return spec.eigenvalues if isinstance(spec, KernelSpectrum) else _as_array(spec, "eigenvalues", finite=False)
+    return spec.eigenvalues if isinstance(spec, KernelSpectrum) else _as_array(spec, "eigenvalues", (None,), finite=False)
 
 
 def verify_master(spec: KernelSpectrum | Sequence[float]) -> tuple[float, float]:
@@ -176,8 +174,7 @@ def _check_nu(nu: float) -> float:
     ten-digit decimal -0.3333333333) clamp onto it; anything farther outside
     the interval is a domain error.
     """
-    # a float passes straight on, and the range check refuses NaN and inf
-    nu = float(nu if isinstance(nu, float) else _as_array(nu, "nu", finite=False))
+    nu = float(_as_array(nu, "nu", (), finite=False))  # the range check refuses NaN and inf
     gap = TOLERANCES.degeneracy_gap
     if not QUTRIT_NU_MIN - gap <= nu <= QUTRIT_NU_MAX + gap:
         raise DomainError(f"nu outside [-1, -1/3]: {nu!r}")
@@ -212,7 +209,7 @@ def qutrit_mu(nu: float) -> ModuliPoint:
 
 def nu_from_zeta(zeta: float) -> float:
     """Map the angular family parameter `zeta in [0, pi/3]` to `nu = 1/3 - (4/3) cos(zeta)`."""
-    zeta = float(zeta if isinstance(zeta, float) else _as_array(zeta, "zeta", finite=False))  # as `_check_nu` takes nu
+    zeta = float(_as_array(zeta, "zeta", (), finite=False))  # as `_check_nu` takes nu
     if not 0.0 <= zeta <= math.pi / 3.0 + TOLERANCES.algebraic:
         raise DomainError(f"zeta outside [0, pi/3]: {zeta!r}")
     return 1.0 / 3.0 - 4.0 / 3.0 * math.cos(zeta)

@@ -43,9 +43,7 @@ class DensityState:
 
     def __post_init__(self):
         n = _as_index(self.dim_n, "N", 2)
-        xi = _as_array(self.bloch, "Bloch vector")
-        if xi.shape != (n * n - 1,):
-            raise ValidationError(f"Bloch vector for N={n} must have length {n * n - 1}, got shape {xi.shape}")
+        xi = _as_array(self.bloch, "Bloch vector", (n * n - 1,))
         rho = (np.eye(n) + bloch_scale(n) * np.einsum("a,aij->ij", xi, gell_mann_basis(n).generators)) / n
         lo = float(np.linalg.eigvalsh(rho)[0])
         if lo < -TOLERANCES.spectral:
@@ -56,6 +54,7 @@ class DensityState:
 
 def bloch_scale(n: int) -> float:
     """The Bloch normalization factor `sqrt(N(N-1)/2)`; 1 for a qubit, `sqrt(3)` for a qutrit."""
+    n = _as_index(n, "N", 2)
     return np.sqrt(n * (n - 1) / 2.0)
 
 
@@ -90,9 +89,7 @@ def qutrit_bloch_constraints(
     determinant).  The comparison uses the algebraic tolerance so boundary
     states (pure states, rank-2 states) are accepted despite round-off.
     """
-    xi = _as_array(xi, "qutrit Bloch vector")
-    if xi.shape != (8,):
-        raise ValidationError(f"qutrit Bloch vector must have length 8, got shape {xi.shape}")
+    xi = _as_array(xi, "qutrit Bloch vector", (8,))
     if d.dim_n != 3:
         raise ValidationError(f"need the N=3 structure tensor, got N={d.dim_n}")
     c1 = float(xi @ xi)

@@ -20,7 +20,7 @@ from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
-from ._streams import _as_index, counter_normals, lane_buffer
+from ._streams import _as_array, _as_index, counter_normals, lane_buffer
 from .algebra import GellMannBasis, _hermitian, gell_mann_basis
 from .config import TOLERANCES
 from .errors import DomainError, NumericalIntegrityError, ValidationError
@@ -253,11 +253,7 @@ def reconstruct_state(
     diag = kernel_diagonal(moduli, gell_mann_basis(n))
 
     def terms(u: np.ndarray) -> np.ndarray:
-        w = np.asarray(wf_sampler(u), dtype=float)
-        if w.shape != (len(u),):
-            raise ValidationError(f"wf_sampler returned shape {w.shape}, expected ({len(u)},)")
-        if not np.all(np.isfinite(w)):
-            raise ValidationError("wf_sampler returned non-finite Wigner values")
+        w = _as_array(wf_sampler(u), "wf_sampler values", (len(u),))
         delta = _delta_batch(u, diag)
         # into the memory of `u`, unused once the kernels are built; C-ordered, so the mean adds the samples in order
         return np.multiply(n * w[:, None, None], delta, out=u.transpose(1, 2, 0).reshape(u.shape))

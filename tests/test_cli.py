@@ -887,10 +887,12 @@ FIELDS = st.sampled_from(["0", "0.6", "0.8", "1", "-1", "0.1", "nan", "inf", "-i
 
 @st.composite
 def argument_lists(draw):
-    """Argument lists that argparse takes, for commands that run in milliseconds at N <= 3 and 2,000 samples."""
+    """Argument lists for commands that run in milliseconds at N <= 3 and 2,000 samples; the integer flags may be
+    `x` or `1.5` and `--nu` may be `1j`, values that argparse itself refuses."""
     command = draw(st.sampled_from(["spectrum", "moduli-sample", "wigner-eval", "reconstruct"]))
-    n = draw(st.sampled_from([-1, 0, 1, 2, 3] + ([] if command == "reconstruct" else [10**6])))
+    n = draw(st.sampled_from([-1, 0, 1, 2, 3, "x", "1.5"] + ([] if command == "reconstruct" else [10**6])))
     argv = [command, "--n", str(n)]
+    n = n if isinstance(n, int) else 3  # vectors for a refused --n are drawn as for N = 3
 
     def fields(right: int, first: str) -> str:  # half the time at N = 2, 3 a valid vector `first,0,...,0`
         if 2 <= n <= 3 and draw(st.booleans()):
@@ -901,7 +903,7 @@ def argument_lists(draw):
     if command != "moduli-sample":
         kernel = draw(st.sampled_from(["none", "nu", "mu"]))
         if kernel == "nu":
-            argv.append("--nu=" + draw(st.sampled_from(["-0.5", "-1", "-0.3333333333", "0", "nan", "inf", "-inf"])))
+            argv.append("--nu=" + draw(st.sampled_from(["-0.5", "-1", "-0.3333333333", "0", "nan", "inf", "-inf", "1j"])))
         elif kernel == "mu":
             argv.append("--mu=" + fields(n - 1, "1"))
     if command in ("wigner-eval", "reconstruct"):
@@ -912,20 +914,24 @@ def argument_lists(draw):
             start, stop = ("0", "1") if draw(st.booleans()) else (draw(FIELDS), draw(FIELDS))
             argv.append(f"--grid={name}={start}:{stop}:{count}")
     if command in ("moduli-sample", "reconstruct"):
-        argv += ["--samples", draw(st.sampled_from(["0", "999", "1000", "2000"]))]
-        argv += ["--seed", draw(st.sampled_from(["0", "-1", "7"]))]
+        argv += ["--samples", draw(st.sampled_from(["0", "999", "1000", "2000", "x", "1.5"]))]
+        argv += ["--seed", draw(st.sampled_from(["0", "-1", "7", "x", "1.5"]))]
     return argv
 
 
 @settings(max_examples=150, deadline=2000)
 @given(argv=argument_lists())
 def test_cli_fuzz_exits_0_1_or_2_with_one_error_line(argv):
-    # any argument list argparse takes ends in an exit code, never a traceback; a refused one writes
-    # nothing to stdout and exactly one line to stderr
+    # any argument list ends in an exit code, never a traceback, and a refused one writes nothing to stdout and
+    # exactly one line to stderr; argparse's refusals raise SystemExit(2) instead of returning 2
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
         warnings.simplefilter("ignore")  # angles outside the chart ranges warn and still evaluate
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2
+            code = exc.code
     assert code in (0, 1, 2)
     if code == 2:
         assert out.getvalue() == ""

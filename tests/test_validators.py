@@ -1,9 +1,11 @@
-"""Every input validator rejects a NaN, an infinity or a non-number wherever it sits in the input.
+"""Every input validator rejects a NaN, an infinity or a non-number wherever it sits in the input, and a wrong shape.
 
 Each case builds a valid input, spoils one drawn entry with a non-finite
 value or with one that is not a number, and calls the validating entry
 point, which must raise `ValidationError` or `DomainError` before any
-Monte Carlo work.  The records that hold arrays compare by identity and keep
+Monte Carlo work; each case also has a wrong-shape input.  Single numbers
+given as lists and an N that is not an integer of 2 or more are package
+errors too.  The records that hold arrays compare by identity and keep
 read-only copies of them.
 """
 import dataclasses
@@ -24,12 +26,14 @@ from swphase import (
     KernelSpectrum,
     ModuliPoint,
     PhasePoint,
+    SWPhaseError,
     SymmetricStructureTensor,
     ValidationError,
     adjoint_matrix,
     adjoint_vector,
     assemble_kernel,
     bloch_from_rho,
+    bloch_scale,
     chart_wf,
     check_covariance,
     check_norm,
@@ -44,8 +48,10 @@ from swphase import (
     nu_from_zeta,
     qutrit_bloch_constraints,
     qutrit_mu,
+    qutrit_spectrum,
     rho_from_bloch,
     seeded_hermitian,
+    verify_master,
     weingarten2_check,
     weingarten4_check,
     wigner_closed_form,
@@ -120,6 +126,62 @@ def test_validators_reject_entries_that_are_not_numbers(case, bad, position):
         call(spoiled.tolist())
 
 
+#: A wrong-shape input for each case: another length, another matrix size, a vector for a single number, or
+#: chart angles that do not broadcast together.
+WRONG_SHAPES = {
+    "moduli_point": [0.6, 0.8, 0.0],
+    "ModuliPoint": [[0.6, 0.8]],
+    "rho_from_bloch": np.full(3, 0.1),
+    "expand_in_basis": np.eye(2),
+    "bloch_from_rho": STATE.rho[:2],
+    "PhasePoint": POINT.u[:, :2],
+    "assemble_kernel": np.eye(2),
+    "check_standardisation": seeded_hermitian(3, 1)[:2],
+    "check_traciality A": seeded_hermitian(3, 1)[:, :2],
+    "check_traciality B": np.eye(2),
+    "check_covariance g": np.eye(2),
+    "_parse_grid": [[0.0, 1.0], 1.0],
+    "weingarten2 indices": [1, 2, 2],
+    "weingarten4 indices": [1] * 7,
+    "EulerSU3": [[0.5, 1.0], [0.5, 1.0, 1.5]] + [0.5] * 6,
+    "EulerSU2": [[0.5, 1.0], [0.5, 1.0, 1.5]],
+    "KernelMatrix": CASES["KernelMatrix"][0][:2, :2],
+    "DensityState": STATE.bloch[:, None],
+    "adjoint_matrix": np.eye(2),
+    "KernelSpectrum": [[0.9, 0.4, -0.3]],
+    "isotropy_signature": [[0.9, 0.4, -0.3]],
+    "qutrit_bloch_constraints": np.full(3, 0.1),
+    "zeta_from_nu": [-0.5, -0.5],
+    "nu_from_zeta": [0.5, 0.5],
+    "chart_wf": [[0.5, 1.0], [0.5, 1.0, 1.5]],
+}
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_validators_reject_a_wrong_shape(case):
+    # the array rule checks the shape of every array input and of every single number; chart angles may take any
+    # shapes that broadcast together, as the axes of an open mesh do
+    with pytest.raises(SWPhaseError):
+        CASES[case][1](WRONG_SHAPES[case])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: qutrit_spectrum([-0.5]),
+        lambda: qutrit_mu([-0.5]),
+        lambda: zeta_from_nu([-0.5]),
+        lambda: nu_from_zeta([0.5]),
+        lambda: verify_master(np.zeros((2, 3))),
+    ],
+    ids=["qutrit_spectrum", "qutrit_mu", "zeta_from_nu", "nu_from_zeta", "verify_master"],
+)
+def test_single_numbers_and_raw_spectra_keep_their_shapes(call):
+    # a one-element list is not a number, and a raw spectrum candidate is a vector, even one kept for diagnosis
+    with pytest.raises(ValidationError, match="must have shape"):
+        call()
+
+
 @pytest.mark.parametrize("case", list(CASES))
 def test_validator_cases_accept_their_valid_input(case):
     # so that each rejection above is caused by the spoiled entry alone
@@ -183,6 +245,23 @@ def test_records_take_n_as_an_integer(call):
         with pytest.raises(DomainError):
             call(n)
     assert call(np.int64(2)).dim_n == 2
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda n: weingarten2_check(n, (1, 2, 2, 1), 10_000, 1),
+        lambda n: weingarten4_check(n, (1,) * 8, 10_000, 1),
+        bloch_scale,
+    ],
+    ids=["weingarten2_check", "weingarten4_check", "bloch_scale"],
+)
+def test_functions_take_n_as_an_integer(call):
+    # N goes through the integer rule before any lane buffer is sized or any factor is formed
+    for n in (2.0, 2.5, "2", 1):
+        with pytest.raises(DomainError):
+            call(n)
+    call(np.int64(2))
 
 
 def test_basis_refuses_an_n_too_large_before_building_an_array():

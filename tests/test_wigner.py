@@ -253,7 +253,7 @@ def test_reconstruction_guards():
         reconstruct_state(lambda u: np.zeros(len(u)), 3, MU2, 2_000, seed=0)
     # a NaN or an infinity from the sampler is refused, not averaged into rho_hat
     for bad in (math.nan, math.inf):
-        with pytest.raises(ValidationError, match="non-finite Wigner values"):
+        with pytest.raises(ValidationError, match="wf_sampler values has non-finite entries"):
             reconstruct_state(lambda u: np.full(len(u), bad), 3, qutrit_mu(-0.5), 1_000, seed=0)
 
 
@@ -308,7 +308,7 @@ def test_sampler_error_in_pool_lane_reaches_caller(monkeypatch):
         pool_failed.wait(timeout=30)
         return np.zeros(len(u))
 
-    with pytest.raises(ValidationError, match="wf_sampler returned shape"):
+    with pytest.raises(ValidationError, match="wf_sampler values must have shape"):
         reconstruct_state(sampler, 2, MU2, 2 * 2048, seed=0)
     assert pool_failed.is_set()
 
