@@ -16,7 +16,6 @@ the samples innermost; `haar_batch` still returns C-ordered arrays.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache, reduce
@@ -452,12 +451,10 @@ class MomentCheck(NamedTuple):
 
 def _check_moment_args(n: int, indices: Sequence[int], arity: int, samples: int) -> tuple[int, tuple[int, ...]]:
     n = _as_index(n, "N", 2)
-    if any(not (isinstance(i, numbers.Real) and math.isfinite(i) and i == int(i)) for i in indices):
-        raise DomainError(f"indices must be integers, got {tuple(indices)}")
-    idx = tuple(int(i) for i in indices)
+    idx = tuple(_as_index(i, "moment index", 1) for i in indices)
     if len(idx) != arity:
         raise DomainError(f"expected {arity} indices, got {len(idx)}")
-    if any(not 1 <= i <= n for i in idx):
+    if any(i > n for i in idx):
         raise DomainError(f"indices must lie in 1..{n}, got {idx}")
     _as_index(samples, "samples", _MOMENT_MIN_SAMPLES)
     return n, tuple(i - 1 for i in idx)

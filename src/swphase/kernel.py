@@ -136,6 +136,8 @@ def _kernel_scale(n: int) -> float:
 
 def kernel_diagonal(p: ModuliPoint, basis: GellMannBasis) -> np.ndarray:
     """The unsorted diagonal of `P(mu)`; entries in the natural basis order."""
+    if not (isinstance(p, ModuliPoint) and isinstance(basis, GellMannBasis)):
+        raise ValidationError(f"need a ModuliPoint and a GellMannBasis, got {type(p).__name__}, {type(basis).__name__}")
     if basis.dim_n != p.dim_n:
         raise ValidationError(f"basis dimension {basis.dim_n} does not match moduli dimension {p.dim_n}")
     return (1.0 + _kernel_scale(p.dim_n) * p.mu @ basis.cartan_diagonals) / p.dim_n

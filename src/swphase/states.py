@@ -102,6 +102,8 @@ def qutrit_bloch_constraints(
 
 def state_as_dict(state: DensityState) -> dict:
     """JSON-friendly view of a state: `{"n": ..., "bloch": [...]}`."""
+    if not isinstance(state, DensityState):
+        raise ValidationError(f"need a DensityState, got {type(state).__name__}")
     return {"n": state.dim_n, "bloch": [float(x) for x in state.bloch]}
 
 

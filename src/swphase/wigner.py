@@ -75,6 +75,8 @@ def wigner_value(state: DensityState, kernel: KernelMatrix) -> float:
     above the algebraic tolerance indicates corrupted inputs and raises
     `NumericalIntegrityError`.
     """
+    if not (isinstance(state, DensityState) and isinstance(kernel, KernelMatrix)):
+        raise ValidationError(f"need a DensityState and a KernelMatrix, got {type(state).__name__}, {type(kernel).__name__}")
     if state.dim_n != kernel.dim_n:
         raise ValidationError(f"state dimension {state.dim_n} != kernel dimension {kernel.dim_n}")
     value = complex(np.einsum("ij,ji->", state.rho, kernel.delta))
@@ -202,21 +204,26 @@ def _symbol_batch(delta: np.ndarray, a: np.ndarray) -> np.ndarray:
     return reduce(np.add, np.einsum("kil,li->ik", delta, a)).real
 
 
-def state_wf_sampler(
-    state: DensityState, moduli: ModuliPoint
-) -> Callable[[np.ndarray], np.ndarray]:
+def _kernels(moduli: ModuliPoint, n: int) -> Callable[[np.ndarray], np.ndarray]:
+    """The kernel map of a moduli point, `u -> U P U^dag` on a batch-last slice; `P` is read once, when it is built."""
+    diag = kernel_diagonal(moduli, gell_mann_basis(n))
+    return lambda u: _delta_batch(u, diag)
+
+
+def _kernel_average(moduli: ModuliPoint, n: int, seed: int, samples: int, f: Callable) -> tuple[np.ndarray, np.ndarray]:
+    """`_haar_average` of `f(u, delta)`, with `delta` the kernels of the moduli point at the slice `u`."""
+    kernels = _kernels(moduli, n)
+    return _haar_average(n, seed, samples, lambda u: f(u, kernels(u)))
+
+
+def state_wf_sampler(state: DensityState, moduli: ModuliPoint) -> Callable[[np.ndarray], np.ndarray]:
     """Batch Wigner-function sampler of a known state, `U_k -> tr(rho Delta(U_k))`.
 
     The returned callable has the signature `reconstruct_state` expects, so a
     known state can be pushed through the reconstruction round trip.
     """
-    diag = kernel_diagonal(moduli, gell_mann_basis(state.dim_n))
-    rho = state.rho
-
-    def sampler(u: np.ndarray) -> np.ndarray:
-        return _symbol_batch(_delta_batch(u, diag), rho)
-
-    return sampler
+    kernels = _kernels(moduli, state.dim_n)
+    return lambda u: _symbol_batch(kernels(u), state.rho)
 
 
 class ReconstructionResult(NamedTuple):
@@ -250,15 +257,13 @@ def reconstruct_state(
     merged as they come.  A run with `4 m` samples reuses the first `m`
     samples of the run with the same seed.
     """
-    diag = kernel_diagonal(moduli, gell_mann_basis(n))
 
-    def terms(u: np.ndarray) -> np.ndarray:
+    def terms(u: np.ndarray, delta: np.ndarray) -> np.ndarray:
         w = _as_array(wf_sampler(u), "wf_sampler values", (len(u),))
-        delta = _delta_batch(u, diag)
         # into the memory of `u`, unused once the kernels are built; C-ordered, so the mean adds the samples in order
         return np.multiply(n * w[:, None, None], delta, out=u.transpose(1, 2, 0).reshape(u.shape))
 
-    mean, se = _haar_average(n, seed, samples, terms)
+    mean, se = _kernel_average(moduli, n, seed, samples, terms)
     estimate = math.sqrt(float(np.square(se).sum()))
     residue = float(np.linalg.norm((mean - mean.conj().T) / 2.0))
     rho_hat = (mean + mean.conj().T) / 2.0
@@ -288,19 +293,15 @@ class NormCheckResult(NamedTuple):
 def check_norm(state: DensityState, moduli: ModuliPoint, samples: int, seed: int) -> NormCheckResult:
     """Monte Carlo check of the norm postulate: the Haar average of `N W` equals `tr(rho) = 1`."""
     n = state.dim_n
-    sampler = state_wf_sampler(state, moduli)
-    mc, se = _haar_average(n, seed, samples, lambda u: n * sampler(u))
+    mc, se = _kernel_average(moduli, n, seed, samples, lambda u, delta: n * _symbol_batch(delta, state.rho))
     return NormCheckResult(mc=float(mc), sigma=float(se[0]))
 
 
-def check_standardisation(
-    a: np.ndarray, moduli: ModuliPoint, samples: int, seed: int
-) -> CheckResult:
+def check_standardisation(a: np.ndarray, moduli: ModuliPoint, samples: int, seed: int) -> CheckResult:
     """Monte Carlo check of standardisation: `N * E[tr(A Delta)] = tr(A)`."""
     a = _hermitian(a, "A")
     n = a.shape[0]
-    diag = kernel_diagonal(moduli, gell_mann_basis(n))
-    mc, se = _haar_average(n, seed, samples, lambda u: n * _symbol_batch(_delta_batch(u, diag), a))
+    mc, se = _kernel_average(moduli, n, seed, samples, lambda u, delta: n * _symbol_batch(delta, a))
     return CheckResult(mc=float(mc), target=float(np.trace(a).real), sigma=float(se[0]))
 
 
@@ -315,13 +316,9 @@ def check_traciality(
     a = _hermitian(a, "A")
     n = a.shape[0]
     b = _hermitian(b, "B", n)
-    diag = kernel_diagonal(moduli, gell_mann_basis(n))
-
-    def products(u: np.ndarray) -> np.ndarray:
-        delta = _delta_batch(u, diag)
-        return n * _symbol_batch(delta, a) * _symbol_batch(delta, b)
-
-    mc, se = _haar_average(n, seed, samples, products)
+    mc, se = _kernel_average(
+        moduli, n, seed, samples, lambda u, delta: n * _symbol_batch(delta, a) * _symbol_batch(delta, b)
+    )
     return CheckResult(mc=float(mc), target=float(np.trace(a @ b).real), sigma=float(se[0]))
 
 

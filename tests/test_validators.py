@@ -4,9 +4,9 @@ Each case builds a valid input, spoils one drawn entry with a non-finite
 value or with one that is not a number, and calls the validating entry
 point, which must raise `ValidationError` or `DomainError` before any
 Monte Carlo work; each case also has a wrong-shape input.  Single numbers
-given as lists and an N that is not an integer of 2 or more are package
-errors too.  The records that hold arrays compare by identity and keep
-read-only copies of them.
+given as lists, an N that is not an integer of 2 or more and a number where
+a record belongs are package errors too.  The records that hold arrays
+compare by identity and keep read-only copies of them.
 """
 import dataclasses
 import math
@@ -44,6 +44,7 @@ from swphase import (
     haar_sample,
     isotropy_signature,
     kernel_chart,
+    kernel_diagonal,
     moduli_point,
     nu_from_zeta,
     qutrit_bloch_constraints,
@@ -51,10 +52,12 @@ from swphase import (
     qutrit_spectrum,
     rho_from_bloch,
     seeded_hermitian,
+    state_as_dict,
     verify_master,
     weingarten2_check,
     weingarten4_check,
     wigner_closed_form,
+    wigner_value,
     zeta_from_nu,
 )
 from swphase.cli import _parse_grid
@@ -210,6 +213,24 @@ def test_moduli_of_another_dimension_rejected(call):
     # the owner of each pair compares the dimensions before numpy multiplies mismatched arrays:
     # kernel_diagonal for moduli against a basis, PhasePoint and _unitary for a matrix
     with pytest.raises(ValidationError):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: wigner_value(1, 2),
+        lambda: wigner_value(STATE, 2),
+        lambda: state_as_dict(1),
+        lambda: kernel_diagonal(1, gell_mann_basis(3)),
+        lambda: kernel_diagonal(MODULI, 1),
+    ],
+    ids=["wigner_value", "wigner_value kernel", "state_as_dict", "kernel_diagonal moduli", "kernel_diagonal basis"],
+)
+def test_records_must_be_records(call):
+    # a number where a record belongs is a package error, not an AttributeError on a missing field;
+    # kernel_diagonal is the gate of every kernel-side Monte Carlo routine
+    with pytest.raises(ValidationError, match="need a"):
         call()
 
 
