@@ -22,9 +22,12 @@ from __future__ import annotations
 
 import operator
 import os
+import sys
 import threading
 from collections import deque
 from contextlib import contextmanager
+from functools import cache
+from importlib.util import find_spec, module_from_spec
 from itertools import starmap
 
 import numpy as np
@@ -47,6 +50,7 @@ _POOLS: dict = {}
 
 #: Per-thread state: `lane` on the threads of a pool, `free` the thread's idle byte buffers.
 _LANE = threading.local()
+_NDTRI_LOCK = threading.Lock()  # around `_ndtri`: a fresh process's lanes draw their first normals at once
 
 
 def _padded_budget(width: int) -> int:
@@ -94,6 +98,13 @@ def _as_array(value, name: str, shape: tuple | None, dtype: type = float, *, fin
     return array
 
 
+def _check_records(*pairs) -> None:
+    """`ValidationError` unless the value of each `(value, record type)` pair is of its type."""
+    if not all(isinstance(value, kind) for value, kind in pairs):
+        got = ", ".join(type(value).__name__ for value, _ in pairs)
+        raise ValidationError(f"need {' and '.join('a ' + kind.__name__ for _, kind in pairs)}, got {got}")
+
+
 def _freeze(record, **fields) -> None:
     """Set `fields` on the frozen dataclass `record`, each array among them made read-only."""
     for name, value in fields.items():
@@ -127,12 +138,27 @@ def counter_uniforms(seed: int, start: int, count: int, width: int, *, out: np.n
 
 def counter_normals(seed: int, start: int, count: int, width: int, *, out: np.ndarray | None = None) -> np.ndarray:
     """Standard normal variates with the same substream addressing (and `out`) as `counter_uniforms`."""
-    # scipy.special takes most of the package's import time; commands that
-    # never draw normals should not pay for it.
-    from scipy.special import ndtri
-
+    with _NDTRI_LOCK:
+        ndtri = _ndtri()
     u = counter_uniforms(seed, start, count, width, out=out)
     return ndtri(u, out=u)
+
+
+@cache
+def _ndtri():
+    """scipy's `ndtri` ufunc from its extension module alone, without running the package `scipy.special` around it."""
+    if "scipy.special" not in sys.modules:
+        # a bare parent package, never run, while the extension loads; a later `import scipy.special` runs the real one
+        sys.modules["scipy.special"] = module_from_spec(find_spec("scipy.special"))
+        try:
+            from scipy.special._ufuncs import ndtri
+            return ndtri
+        except (ImportError, AttributeError):
+            pass  # a scipy that moved the ufunc: the package import below finds it
+        finally:
+            del sys.modules["scipy.special"]
+    from scipy.special import ndtri
+    return ndtri
 
 
 @contextmanager

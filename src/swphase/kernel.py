@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._streams import _as_array, _as_index, _freeze, _padded_budget
+from ._streams import _as_array, _as_index, _check_records, _freeze, _padded_budget
 from ._streams import check_samples, check_seed, counter_normals, lane_buffer, over_slices
 from .algebra import GellMannBasis, _hermitian, gell_mann_basis
 from .config import TOLERANCES
@@ -136,8 +136,7 @@ def _kernel_scale(n: int) -> float:
 
 def kernel_diagonal(p: ModuliPoint, basis: GellMannBasis) -> np.ndarray:
     """The unsorted diagonal of `P(mu)`; entries in the natural basis order."""
-    if not (isinstance(p, ModuliPoint) and isinstance(basis, GellMannBasis)):
-        raise ValidationError(f"need a ModuliPoint and a GellMannBasis, got {type(p).__name__}, {type(basis).__name__}")
+    _check_records((p, ModuliPoint), (basis, GellMannBasis))
     if basis.dim_n != p.dim_n:
         raise ValidationError(f"basis dimension {basis.dim_n} does not match moduli dimension {p.dim_n}")
     return (1.0 + _kernel_scale(p.dim_n) * p.mu @ basis.cartan_diagonals) / p.dim_n

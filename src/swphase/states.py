@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._streams import _as_array, _as_index, _freeze
+from ._streams import _as_array, _as_index, _check_records, _freeze
 from .algebra import SymmetricStructureTensor, _hermitian, expand_in_basis, gell_mann_basis
 from .config import TOLERANCES
 from .errors import InvalidStateError, ValidationError
@@ -102,8 +102,7 @@ def qutrit_bloch_constraints(
 
 def state_as_dict(state: DensityState) -> dict:
     """JSON-friendly view of a state: `{"n": ..., "bloch": [...]}`."""
-    if not isinstance(state, DensityState):
-        raise ValidationError(f"need a DensityState, got {type(state).__name__}")
+    _check_records((state, DensityState))
     return {"n": state.dim_n, "bloch": [float(x) for x in state.bloch]}
 
 

@@ -20,7 +20,7 @@ from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
-from ._streams import _as_array, _as_index, counter_normals, lane_buffer
+from ._streams import _as_array, _as_index, _check_records, counter_normals, lane_buffer
 from .algebra import GellMannBasis, _hermitian, gell_mann_basis
 from .config import TOLERANCES
 from .errors import DomainError, NumericalIntegrityError, ValidationError
@@ -75,8 +75,7 @@ def wigner_value(state: DensityState, kernel: KernelMatrix) -> float:
     above the algebraic tolerance indicates corrupted inputs and raises
     `NumericalIntegrityError`.
     """
-    if not (isinstance(state, DensityState) and isinstance(kernel, KernelMatrix)):
-        raise ValidationError(f"need a DensityState and a KernelMatrix, got {type(state).__name__}, {type(kernel).__name__}")
+    _check_records((state, DensityState), (kernel, KernelMatrix))
     if state.dim_n != kernel.dim_n:
         raise ValidationError(f"state dimension {state.dim_n} != kernel dimension {kernel.dim_n}")
     value = complex(np.einsum("ij,ji->", state.rho, kernel.delta))
@@ -222,6 +221,7 @@ def state_wf_sampler(state: DensityState, moduli: ModuliPoint) -> Callable[[np.n
     The returned callable has the signature `reconstruct_state` expects, so a
     known state can be pushed through the reconstruction round trip.
     """
+    _check_records((state, DensityState))
     kernels = _kernels(moduli, state.dim_n)
     return lambda u: _symbol_batch(kernels(u), state.rho)
 
@@ -292,6 +292,7 @@ class NormCheckResult(NamedTuple):
 
 def check_norm(state: DensityState, moduli: ModuliPoint, samples: int, seed: int) -> NormCheckResult:
     """Monte Carlo check of the norm postulate: the Haar average of `N W` equals `tr(rho) = 1`."""
+    _check_records((state, DensityState))
     n = state.dim_n
     mc, se = _kernel_average(moduli, n, seed, samples, lambda u, delta: n * _symbol_batch(delta, state.rho))
     return NormCheckResult(mc=float(mc), sigma=float(se[0]))
@@ -335,6 +336,7 @@ def check_covariance(
     postulate is a property of the kernel, so no choice of state can hide a
     kernel that breaks it.
     """
+    _check_records((state, DensityState), (kernel_point, PhasePoint))
     n = state.dim_n
     basis = gell_mann_basis(n)
     g = _unitary(g, n, "transformation matrix")

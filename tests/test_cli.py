@@ -788,6 +788,23 @@ def test_commands_without_sampling_skip_scipy_special():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
+    # commands that draw normals load scipy's ndtri extension alone, not the package around it; a later
+    # import of the package still gives all of it, with the same ndtri
+    for first_call in (
+        f"swphase.cli.main(['verify', '--n', '2', '--samples', '10000', '--output', {os.devnull!r}]) == 0",
+        "swphase.weingarten2_check(2, (1, 1, 1, 1), 10000, 1).closed_form == 0.5",
+    ):
+        code = (
+            "import sys, swphase, swphase.cli\n"
+            f"assert {first_call}\n"
+            "assert 'scipy.special' not in sys.modules\n"
+            "assert 'scipy.special._ufuncs' in sys.modules\n"
+            "import scipy.special\n"
+            "assert scipy.special.gamma(5.0) == 24.0 and scipy.special.comb(5, 2, exact=True) == 10\n"
+            "assert scipy.special.ndtri is swphase._streams._ndtri()\n"
+        )
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, (first_call, result.stderr)
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity control")

@@ -1,4 +1,7 @@
 """The counter-based substream contract: partition independence and reproducibility."""
+import os
+import subprocess
+import sys
 import threading
 import tracemalloc
 
@@ -208,3 +211,42 @@ def test_over_slices_streams_results_and_nests(monkeypatch):
     direct = haar_batch(3, 1, 0, 3 * _streams._SLICE + 5)
     nested = list(over_slices(5, lambda a, b: haar_batch(3, 1, 0, 3 * _streams._SLICE + 5)))
     assert len(nested) == 1 and np.array_equal(nested[0], direct)
+
+
+def _fresh_process_bytes(code: str) -> bytes:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=120)
+    assert result.returncode == 0, result.stderr.decode()
+    return result.stdout
+
+
+def test_first_draw_on_many_lanes_matches_one_lane(monkeypatch):
+    # in a fresh process the lanes of the first multi-lane draw load ndtri at the same time; 3 lanes
+    # exercise the pool on a host with fewer CPUs, and a short switch interval interleaves them often
+    code = (
+        "import sys\n"
+        "from swphase import _streams\n"
+        "from swphase.group import haar_batch\n"
+        "_streams._cores = lambda: 3\n"
+        "sys.setswitchinterval(1e-6)\n"
+        "sys.stdout.buffer.write(haar_batch(3, 11, 0, 2**14).tobytes())\n"
+        "assert _streams._POOLS\n"
+    )
+    many = _fresh_process_bytes(code)
+    monkeypatch.setattr(_streams, "_cores", lambda: 1)
+    assert many == haar_batch(3, 11, 0, 2**14).tobytes()
+
+
+def test_package_fallback_draws_the_same_normals():
+    # a stand-in parent package without a path makes the standalone load raise ImportError, as a scipy
+    # that moved the ufunc would; the fallback imports scipy.special and draws the same bytes
+    draw = "sys.stdout.buffer.write(_streams.counter_normals(5, 3, 700, 7).tobytes())\n"
+    alone = _fresh_process_bytes("import sys\nfrom swphase import _streams\n" + draw)
+    fallback = _fresh_process_bytes(
+        "import sys, types\n"
+        "from swphase import _streams\n"
+        "_streams.module_from_spec = lambda spec: types.ModuleType(spec.name)\n"
+        + draw
+        + "assert 'scipy.special' in sys.modules and sys.modules['scipy.special'].ndtri is _streams._ndtri()\n"
+    )
+    assert alone == fallback == counter_normals(5, 3, 700, 7).tobytes()

@@ -53,6 +53,7 @@ from swphase import (
     rho_from_bloch,
     seeded_hermitian,
     state_as_dict,
+    state_wf_sampler,
     verify_master,
     weingarten2_check,
     weingarten4_check,
@@ -224,8 +225,15 @@ def test_moduli_of_another_dimension_rejected(call):
         lambda: state_as_dict(1),
         lambda: kernel_diagonal(1, gell_mann_basis(3)),
         lambda: kernel_diagonal(MODULI, 1),
+        lambda: check_norm(1, MODULI, 10000, 1),
+        lambda: state_wf_sampler(1, MODULI),
+        lambda: check_covariance(1, POINT, MODULI, np.eye(3)),
+        lambda: check_covariance(STATE, 2, MODULI, np.eye(3)),
     ],
-    ids=["wigner_value", "wigner_value kernel", "state_as_dict", "kernel_diagonal moduli", "kernel_diagonal basis"],
+    ids=[
+        "wigner_value", "wigner_value kernel", "state_as_dict", "kernel_diagonal moduli", "kernel_diagonal basis",
+        "check_norm", "state_wf_sampler", "check_covariance state", "check_covariance point",
+    ],
 )
 def test_records_must_be_records(call):
     # a number where a record belongs is a package error, not an AttributeError on a missing field;
