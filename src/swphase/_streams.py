@@ -98,11 +98,15 @@ def _as_array(value, name: str, shape: tuple | None, dtype: type = float, *, fin
     return array
 
 
-def _check_records(*pairs) -> None:
-    """`ValidationError` unless the value of each `(value, record type)` pair is of its type."""
+def _check_records(*pairs) -> int | None:
+    """The N shared by the records that carry one (`dim_n`), else `None`; `ValidationError` on a wrong type or N."""
     if not all(isinstance(value, kind) for value, kind in pairs):
         got = ", ".join(type(value).__name__ for value, _ in pairs)
         raise ValidationError(f"need {' and '.join('a ' + kind.__name__ for _, kind in pairs)}, got {got}")
+    dims = [(type(value).__name__, value.dim_n) for value, _ in pairs if hasattr(value, "dim_n")]
+    if len({n for _, n in dims}) > 1:
+        raise ValidationError("dimension does not match: " + ", ".join(f"{name} N={n}" for name, n in dims))
+    return dims[0][1] if dims else None
 
 
 def _freeze(record, **fields) -> None:

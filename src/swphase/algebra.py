@@ -15,7 +15,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from ._streams import _as_array, _as_index, _freeze
+from ._streams import _as_array, _as_index, _check_records, _freeze
 from .config import TOLERANCES
 from .errors import DomainError, ValidationError
 
@@ -111,7 +111,7 @@ def gell_mann_basis(n: int) -> GellMannBasis:
 
 def symmetric_structure_constants(basis: GellMannBasis) -> SymmetricStructureTensor:
     """The symmetric structure constants of `basis`: `SymmetricStructureTensor(basis.dim_n)`."""
-    return SymmetricStructureTensor(basis.dim_n)
+    return SymmetricStructureTensor(_check_records((basis, GellMannBasis)))
 
 
 def _hermitian(m, name: str, n: int | None = None) -> np.ndarray:
@@ -137,7 +137,7 @@ def expand_in_basis(m: np.ndarray, basis: GellMannBasis) -> tuple[np.ndarray, fl
     `trace_part = tr(m) / N`.  Raises `ValidationError` if `m` is not
     finite, not Hermitian within the algebraic tolerance or has the wrong shape.
     """
-    n = basis.dim_n
+    n = _check_records((basis, GellMannBasis))
     m = _hermitian(m, "matrix", n)
     coeffs = np.einsum("ij,aji->a", m, basis.generators).real / 2.0
     coeffs.setflags(write=False)

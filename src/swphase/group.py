@@ -24,7 +24,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ._streams import _as_array, _as_index, _freeze, _padded_budget
+from ._streams import _as_array, _as_index, _check_records, _freeze, _padded_budget
 from ._streams import check_samples, check_seed, counter_normals, lane_buffer, over_slices
 from .algebra import GellMannBasis, expand_in_basis, gell_mann_basis
 from .config import TOLERANCES
@@ -91,6 +91,7 @@ class EulerSU3:
     c: float = 0.0
     theta: float = 0.0
     phi: float = 0.0
+    dim_n = 3  # the N of the group the chart covers: a class constant, not a field
 
     def __post_init__(self):
         _check_chart(self, "Euler angle(s)", alpha=2.0 * math.pi, beta=math.pi, gamma=4.0 * math.pi, a=2.0 * math.pi,
@@ -107,6 +108,7 @@ class EulerSU2:
 
     alpha: float = 0.0
     beta: float = 0.0
+    dim_n = 2  # as `EulerSU3.dim_n`
 
     def __post_init__(self):
         _check_chart(self, "qubit chart angle(s)", alpha=2.0 * math.pi, beta=math.pi)
@@ -263,8 +265,7 @@ def su3_from_euler(e: EulerSU3, basis: GellMannBasis) -> PhasePoint:
     g5, g8 of `basis`, multiplied in closed form (diagonal phases and real
     plane rotations) rather than by matrix exponentials.
     """
-    if basis.dim_n != 3:
-        raise ValidationError(f"Euler chart needs the N=3 basis, got N={basis.dim_n}")
+    _check_records((e, EulerSU3), (basis, GellMannBasis))
     s3 = math.sqrt(3.0)
     u = (
         _v_factor(e.alpha, e.beta, e.gamma)
@@ -281,6 +282,7 @@ def su2_coset(e: EulerSU2) -> PhasePoint:
     Closed form: `[[cos(b/2), e^{i a} sin(b/2)], [-e^{-i a} sin(b/2), cos(b/2)]]`
     with `a = alpha`, `b = beta`.
     """
+    _check_records((e, EulerSU2))
     c, s = math.cos(e.beta / 2.0), math.sin(e.beta / 2.0)
     ph = np.exp(1j * e.alpha)
     u = np.array([[c, ph * s], [-np.conj(ph) * s, c]])
@@ -294,10 +296,10 @@ def adjoint_vector(p: PhasePoint, cartan_index: int, basis: GellMannBasis) -> np
     `c = cartan_index`; always a unit vector, and vectors for distinct Cartan
     labels are mutually orthogonal.
     """
+    _check_records((p, PhasePoint), (basis, GellMannBasis))
     if _as_index(cartan_index, "Cartan label", 1) not in basis.cartan_indices:
         raise DomainError(f"label {cartan_index} is not a Cartan label {basis.cartan_indices}")
-    u = _unitary(p.u, basis.dim_n, "phase-space matrix")
-    return expand_in_basis(u @ basis.generator(cartan_index) @ u.conj().T, basis)[0]
+    return expand_in_basis(p.u @ basis.generator(cartan_index) @ p.u.conj().T, basis)[0]
 
 
 def adjoint_matrix(u: np.ndarray, basis: GellMannBasis) -> np.ndarray:
@@ -306,7 +308,7 @@ def adjoint_matrix(u: np.ndarray, basis: GellMannBasis) -> np.ndarray:
     Orthogonal, and composes covariantly with the frame vectors:
     `adjoint_vector(V U, c) = adjoint_matrix(V) @ adjoint_vector(U, c)`.
     """
-    u = _unitary(u, basis.dim_n, "adjoint-action matrix")
+    u = _unitary(u, _check_records((basis, GellMannBasis)), "adjoint-action matrix")
     rotated = np.einsum("ij,ajk,lk->ail", u, basis.generators, u.conj())
     return np.einsum("ail,mli->ma", rotated, basis.generators).real / 2.0
 
@@ -322,6 +324,7 @@ def qubit_frame(e: EulerSU2) -> np.ndarray:
     `(-cos(alpha) sin(beta), sin(alpha) sin(beta), cos(beta))`, the trace
     definition `adjoint_vector(su2_coset(e), 3)` in closed form.
     """
+    _check_records((e, EulerSU2))
     al, be = e.alpha, e.beta
     return _frame(-np.cos(al) * np.sin(be), np.sin(al) * np.sin(be), np.cos(be))
 
@@ -333,6 +336,7 @@ def n3_closed_form(e: EulerSU3) -> np.ndarray:
     trace definition `adjoint_vector(su3_from_euler(e), 3)` to round-off for
     all real angles.
     """
+    _check_records((e, EulerSU3))
     al, be, ga, a, b, th = e.alpha, e.beta, e.gamma, e.a, e.b, e.theta
     sb, cb = np.sin(b), np.cos(b)
     cth = np.cos(th)
@@ -365,6 +369,7 @@ def n8_closed_form(e: EulerSU3) -> np.ndarray:
     phi drop out because the g8 direction commutes with the right factors of
     the chart.
     """
+    _check_records((e, EulerSU3))
     al, be, ga, th = e.alpha, e.beta, e.gamma, e.theta
     s32 = math.sqrt(3.0) / 2.0
     sth2 = np.sin(th) ** 2

@@ -136,10 +136,8 @@ def _kernel_scale(n: int) -> float:
 
 def kernel_diagonal(p: ModuliPoint, basis: GellMannBasis) -> np.ndarray:
     """The unsorted diagonal of `P(mu)`; entries in the natural basis order."""
-    _check_records((p, ModuliPoint), (basis, GellMannBasis))
-    if basis.dim_n != p.dim_n:
-        raise ValidationError(f"basis dimension {basis.dim_n} does not match moduli dimension {p.dim_n}")
-    return (1.0 + _kernel_scale(p.dim_n) * p.mu @ basis.cartan_diagonals) / p.dim_n
+    n = _check_records((p, ModuliPoint), (basis, GellMannBasis))
+    return (1.0 + _kernel_scale(n) * p.mu @ basis.cartan_diagonals) / n
 
 
 def spectrum_from_moduli(p: ModuliPoint, basis: GellMannBasis) -> KernelSpectrum:
@@ -241,8 +239,8 @@ def moduli_canonicalize(p: ModuliPoint, basis: GellMannBasis) -> tuple[ModuliPoi
     sorting permutation (`permutation[i]` is the original position of entry
     `i`).  Idempotent, and the unordered spectrum is unchanged.
     """
-    n = p.dim_n
     diag = kernel_diagonal(p, basis)
+    n = p.dim_n
     order = np.argsort(-diag, kind="stable")
     sorted_diag = diag[order]
     # Invert P = (1/N)(I + kappa sum mu_s g_s) on the sorted diagonal:
@@ -301,8 +299,7 @@ def assemble_kernel(p: ModuliPoint, u: np.ndarray, basis: GellMannBasis) -> Kern
     `u` must be special-unitary within the spectral tolerance.  The result is
     Hermitian with `tr(Delta) = 1` and `tr(Delta**2) = N` by construction.
     """
-    n = p.dim_n
-    u = PhasePoint(n, u).u
     diag = kernel_diagonal(p, basis)
+    u = PhasePoint(p.dim_n, u).u
     delta = (u * diag) @ u.conj().T
-    return KernelMatrix(dim_n=n, delta=(delta + delta.conj().T) / 2.0)
+    return KernelMatrix(dim_n=p.dim_n, delta=(delta + delta.conj().T) / 2.0)

@@ -90,7 +90,7 @@ def qutrit_bloch_constraints(
     states (pure states, rank-2 states) are accepted despite round-off.
     """
     xi = _as_array(xi, "qutrit Bloch vector", (8,))
-    if d.dim_n != 3:
+    if _check_records((d, SymmetricStructureTensor)) != 3:
         raise ValidationError(f"need the N=3 structure tensor, got N={d.dim_n}")
     c1 = float(xi @ xi)
     cubic = float(np.einsum("abc,a,b,c->", d.d, xi, xi, xi))

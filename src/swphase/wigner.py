@@ -76,8 +76,6 @@ def wigner_value(state: DensityState, kernel: KernelMatrix) -> float:
     `NumericalIntegrityError`.
     """
     _check_records((state, DensityState), (kernel, KernelMatrix))
-    if state.dim_n != kernel.dim_n:
-        raise ValidationError(f"state dimension {state.dim_n} != kernel dimension {kernel.dim_n}")
     value = complex(np.einsum("ij,ji->", state.rho, kernel.delta))
     if abs(value.imag) > TOLERANCES.algebraic:
         raise NumericalIntegrityError(f"Wigner value has imaginary residue {value.imag:.3e}")
@@ -128,8 +126,7 @@ def qutrit_wf(xi: np.ndarray, nu: float, e: EulerSU3, basis: GellMannBasis) -> f
     `(mu3, mu8) = qutrit_mu(nu)`.  At `nu = -1` the value depends only on
     (alpha, beta, gamma, theta), because `mu3 = 0` there.
     """
-    if basis.dim_n != 3:
-        raise ValidationError(f"qutrit Wigner function needs the N=3 basis, got N={basis.dim_n}")
+    _check_records((e, EulerSU3), (basis, GellMannBasis))
     return _closed_form(rho_from_bloch(3, xi).bloch, _qutrit_frame(qutrit_mu(nu).mu, e))
 
 
@@ -139,10 +136,11 @@ class EulerChart(NamedTuple):
     name: str
     angles: tuple[str, ...]
     frame: Callable[[np.ndarray, EulerSU2 | EulerSU3], np.ndarray]
+    euler: type = EulerSU3  # the record of the chart's angles, whose `dim_n` is the N of the kernels it serves
 
 
 _FOUR_ANGLES = ("alpha", "beta", "gamma", "theta")
-_QUBIT_CHART = EulerChart("qubit", ("alpha", "beta"), lambda mu, e: mu[0] * qubit_frame(e))
+_QUBIT_CHART = EulerChart("qubit", ("alpha", "beta"), lambda mu, e: mu[0] * qubit_frame(e), EulerSU2)
 _STANDARD_CHART = EulerChart("standard", ("alpha", "beta", "gamma", "a", "b", "theta"), _qutrit_frame)
 _REDUCED_CHART = EulerChart("reduced", _FOUR_ANGLES, _qutrit_frame)
 # nprime is the frame of the nu = -1/3 kernel, the only kernel routed to this chart
@@ -160,7 +158,7 @@ def kernel_chart(p: ModuliPoint) -> EulerChart:
     signature alone cannot decide: `mu = (0, -1)` is degenerate like
     `nu = -1/3`, but in levels 1-2, where the adapted chart does not apply.
     """
-    if p.dim_n == 2:
+    if _check_records((p, ModuliPoint)) == 2:
         return _QUBIT_CHART
     if p.dim_n != 3:
         raise DomainError(f"Euler charts exist for N=2 and N=3, got N={p.dim_n}")
@@ -180,14 +178,15 @@ def chart_wf(
     `DensityState`, taken as built.  The angle ranges are checked once for all
     points; omitted angles are 0, and an angle the chart lacks is a `ValidationError`.
     """
+    _check_records((chart, EulerChart))
     stray = [name for name in angles if name not in chart.angles]
     if stray:
         raise ValidationError(f"the {chart.name} chart has no angle(s) {', '.join(map(str, stray))}")
     p = kernel if isinstance(kernel, ModuliPoint) else qutrit_mu(kernel)
     state = xi if isinstance(xi, DensityState) else rho_from_bloch(p.dim_n, xi)
-    if state.dim_n != p.dim_n:
-        raise ValidationError(f"state dimension {state.dim_n} != kernel dimension {p.dim_n}")
-    return _closed_form(state.bloch, chart.frame(p.mu, (EulerSU2 if p.dim_n == 2 else EulerSU3)(**angles)))
+    e = chart.euler(**angles)
+    _check_records((state, DensityState), (p, ModuliPoint), (e, chart.euler))
+    return _closed_form(state.bloch, chart.frame(p.mu, e))
 
 
 def _delta_batch(u: np.ndarray, diag: np.ndarray) -> np.ndarray:
@@ -210,9 +209,9 @@ def _kernels(moduli: ModuliPoint, n: int) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def _kernel_average(moduli: ModuliPoint, n: int, seed: int, samples: int, f: Callable) -> tuple[np.ndarray, np.ndarray]:
-    """`_haar_average` of `f(u, delta)`, with `delta` the kernels of the moduli point at the slice `u`."""
+    """`_haar_average` of `f(delta)`, with `delta` the kernels of the moduli point at each slice."""
     kernels = _kernels(moduli, n)
-    return _haar_average(n, seed, samples, lambda u: f(u, kernels(u)))
+    return _haar_average(n, seed, samples, lambda u: f(kernels(u)))
 
 
 def state_wf_sampler(state: DensityState, moduli: ModuliPoint) -> Callable[[np.ndarray], np.ndarray]:
@@ -221,8 +220,7 @@ def state_wf_sampler(state: DensityState, moduli: ModuliPoint) -> Callable[[np.n
     The returned callable has the signature `reconstruct_state` expects, so a
     known state can be pushed through the reconstruction round trip.
     """
-    _check_records((state, DensityState))
-    kernels = _kernels(moduli, state.dim_n)
+    kernels = _kernels(moduli, _check_records((state, DensityState), (moduli, ModuliPoint)))
     return lambda u: _symbol_batch(kernels(u), state.rho)
 
 
@@ -250,7 +248,7 @@ def reconstruct_state(
     """Reconstruct a state from its Wigner function by Haar-averaged kernel weighting.
 
     `wf_sampler` receives a batch-last `(count, n, n)` slice of special-unitary
-    matrices (lane scratch: do not keep it) on a lane of `_haar_average`,
+    matrices (lane scratch: do not keep or change it) on a lane of `_haar_average`,
     possibly a pool thread, and returns the Wigner values of the hidden state there.
     The estimator is `rho_hat = N * mean_k[ W(U_k) Delta(U_k) ]`, Hermitized
     by symmetric averaging before being returned, with per-slice error sums
@@ -258,12 +256,13 @@ def reconstruct_state(
     samples of the run with the same seed.
     """
 
-    def terms(u: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    def terms(u: np.ndarray) -> np.ndarray:
         w = _as_array(wf_sampler(u), "wf_sampler values", (len(u),))
         # into the memory of `u`, unused once the kernels are built; C-ordered, so the mean adds the samples in order
-        return np.multiply(n * w[:, None, None], delta, out=u.transpose(1, 2, 0).reshape(u.shape))
+        return np.multiply(n * w[:, None, None], kernels(u), out=u.transpose(1, 2, 0).reshape(u.shape))
 
-    mean, se = _kernel_average(moduli, n, seed, samples, terms)
+    kernels = _kernels(moduli, n)  # built in `terms` after the sampler's: one kernel batch is alive at a time
+    mean, se = _haar_average(n, seed, samples, terms)
     estimate = math.sqrt(float(np.square(se).sum()))
     residue = float(np.linalg.norm((mean - mean.conj().T) / 2.0))
     rho_hat = (mean + mean.conj().T) / 2.0
@@ -292,9 +291,8 @@ class NormCheckResult(NamedTuple):
 
 def check_norm(state: DensityState, moduli: ModuliPoint, samples: int, seed: int) -> NormCheckResult:
     """Monte Carlo check of the norm postulate: the Haar average of `N W` equals `tr(rho) = 1`."""
-    _check_records((state, DensityState))
-    n = state.dim_n
-    mc, se = _kernel_average(moduli, n, seed, samples, lambda u, delta: n * _symbol_batch(delta, state.rho))
+    n = _check_records((state, DensityState), (moduli, ModuliPoint))
+    mc, se = _kernel_average(moduli, n, seed, samples, lambda delta: n * _symbol_batch(delta, state.rho))
     return NormCheckResult(mc=float(mc), sigma=float(se[0]))
 
 
@@ -302,7 +300,7 @@ def check_standardisation(a: np.ndarray, moduli: ModuliPoint, samples: int, seed
     """Monte Carlo check of standardisation: `N * E[tr(A Delta)] = tr(A)`."""
     a = _hermitian(a, "A")
     n = a.shape[0]
-    mc, se = _kernel_average(moduli, n, seed, samples, lambda u, delta: n * _symbol_batch(delta, a))
+    mc, se = _kernel_average(moduli, n, seed, samples, lambda delta: n * _symbol_batch(delta, a))
     return CheckResult(mc=float(mc), target=float(np.trace(a).real), sigma=float(se[0]))
 
 
@@ -318,7 +316,7 @@ def check_traciality(
     n = a.shape[0]
     b = _hermitian(b, "B", n)
     mc, se = _kernel_average(
-        moduli, n, seed, samples, lambda u, delta: n * _symbol_batch(delta, a) * _symbol_batch(delta, b)
+        moduli, n, seed, samples, lambda delta: n * _symbol_batch(delta, a) * _symbol_batch(delta, b)
     )
     return CheckResult(mc=float(mc), target=float(np.trace(a @ b).real), sigma=float(se[0]))
 
@@ -336,14 +334,12 @@ def check_covariance(
     postulate is a property of the kernel, so no choice of state can hide a
     kernel that breaks it.
     """
-    _check_records((state, DensityState), (kernel_point, PhasePoint))
-    n = state.dim_n
+    n = _check_records((state, DensityState), (kernel_point, PhasePoint), (moduli, ModuliPoint))
     basis = gell_mann_basis(n)
     g = _unitary(g, n, "transformation matrix")
-    u = PhasePoint(n, kernel_point.u).u
     special = g / np.linalg.det(g) ** (1.0 / n)
-    moved = assemble_kernel(moduli, special @ u, basis).delta
-    expected = g @ assemble_kernel(moduli, u, basis).delta @ g.conj().T
+    moved = assemble_kernel(moduli, special @ kernel_point.u, basis).delta
+    expected = g @ assemble_kernel(moduli, kernel_point.u, basis).delta @ g.conj().T
     return float(np.max(np.abs(moved - expected)))
 
 

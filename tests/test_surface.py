@@ -1,10 +1,10 @@
-"""The public surface: one list of names per module, no unused imports, and one way to freeze a record.
+"""The public surface: one list of names per module, no unused imports, one way to freeze a record and one to match N.
 
 The package exports the union of its modules' `__all__` lists; this file
 pins the names the package has promised so far, checks that every listed
 name exists and belongs to one module only, and lints the sources for
-top-level imports that nothing uses and for frozen-record fields set outside
-`_streams._freeze`.
+top-level imports that nothing uses, for frozen-record fields set outside
+`_streams._freeze` and for records' N compared outside `_streams._check_records`.
 """
 import ast
 import importlib
@@ -95,3 +95,24 @@ def test_records_are_frozen_by_one_helper():
     calls = [call for path in others for call in _object_setattr_calls(path)]
     assert not calls
     assert _object_setattr_calls(SRC / "_streams.py")  # the lint sees the one call it allows
+
+
+def _dim_n_comparisons(source: str) -> list[int]:
+    """Lines of the comparisons in `source` that read `.dim_n` on two or more of their sides."""
+
+    def reads_dim_n(side: ast.AST) -> bool:
+        return any(isinstance(node, ast.Attribute) and node.attr == "dim_n" for node in ast.walk(side))
+
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Compare) and sum(map(reads_dim_n, [node.left, *node.comparators])) > 1
+    ]
+
+
+def test_records_share_n_through_one_rule():
+    # whether two records carry the same N is decided by _streams._check_records alone
+    others = [path for path in sorted(SRC.glob("*.py")) if path.name != "_streams.py"]
+    found = [f"{path.name}:{line}" for path in others for line in _dim_n_comparisons(path.read_text())]
+    assert not found
+    assert _dim_n_comparisons("ok = state.dim_n != kernel.dim_n")  # the lint sees the comparison it forbids

@@ -5,11 +5,15 @@ value or with one that is not a number, and calls the validating entry
 point, which must raise `ValidationError` or `DomainError` before any
 Monte Carlo work; each case also has a wrong-shape input.  Single numbers
 given as lists, an N that is not an integer of 2 or more and a number where
-a record belongs are package errors too.  The records that hold arrays
-compare by identity and keep read-only copies of them.
+a record belongs are package errors too.  Every public function that takes
+a record refuses a number or a record of another type there, and records of
+different N, through one rule.  The records that hold arrays compare by
+identity and keep read-only copies of them.
 """
 import dataclasses
+import inspect
 import math
+import typing
 
 import numpy as np
 import pytest
@@ -61,6 +65,7 @@ from swphase import (
     wigner_value,
     zeta_from_nu,
 )
+import swphase
 from swphase.cli import _parse_grid
 
 MODULI = qutrit_mu(-0.5)
@@ -239,6 +244,99 @@ def test_records_must_be_records(call):
     # a number where a record belongs is a package error, not an AttributeError on a missing field;
     # kernel_diagonal is the gate of every kernel-side Monte Carlo routine
     with pytest.raises(ValidationError, match="need a"):
+        call()
+
+
+B3 = gell_mann_basis(3)
+E3, E2 = EulerSU3(*[0.5] * 8), EulerSU2(0.5, 1.0)
+# public function -> valid arguments, at N=3 but for the qubit chart's
+RECORD_ARGS = {
+    "symmetric_structure_constants": (B3,),
+    "expand_in_basis": (seeded_hermitian(3, 1), B3),
+    "qutrit_bloch_constraints": (np.full(8, 0.1), D3),
+    "state_as_dict": (STATE,),
+    "spectrum_from_moduli": (MODULI, B3),
+    "moduli_canonicalize": (MODULI, B3),
+    "assemble_kernel": (MODULI, POINT.u, B3),
+    "kernel_diagonal": (MODULI, B3),
+    "su3_from_euler": (E3, B3),
+    "su2_coset": (E2,),
+    "adjoint_vector": (POINT, 3, B3),
+    "adjoint_matrix": (POINT.u, B3),
+    "qubit_frame": (E2,),
+    "n3_closed_form": (E3,),
+    "n8_closed_form": (E3,),
+    "wigner_value": (STATE, assemble_kernel(MODULI, POINT.u, B3)),
+    "wigner_closed_form": (STATE.bloch, MODULI, POINT, B3),
+    "qubit_wf": (np.zeros(3), E2),
+    "qutrit_wf": (STATE.bloch, -0.5, E3, B3),
+    "kernel_chart": (MODULI,),
+    "chart_wf": (STATE, MODULI, kernel_chart(MODULI), {}),
+    "reconstruct_state": (lambda u: np.zeros(len(u)), 3, MODULI, 1000, 1),
+    "state_wf_sampler": (STATE, MODULI),
+    "check_standardisation": (np.eye(3), MODULI, 1000, 1),
+    "check_traciality": (np.eye(3), np.eye(3), MODULI, 1000, 1),
+    "check_covariance": (STATE, POINT, MODULI, np.eye(3)),
+    "check_norm": (STATE, MODULI, 1000, 1),
+}
+# a record of each type that can hold either N, at N=2
+AT_N2 = {
+    ModuliPoint: QUBIT,
+    GellMannBasis: gell_mann_basis(2),
+    DensityState: rho_from_bloch(2, np.zeros(3)),
+    KernelMatrix: assemble_kernel(QUBIT, haar_sample(2, 4).u, gell_mann_basis(2)),
+    PhasePoint: haar_sample(2, 4),
+}
+
+
+def _record_slots(fn) -> dict[int, type]:
+    """Position -> type of each parameter of `fn` annotated with one swphase record type alone."""
+    hints = typing.get_type_hints(fn)
+    return {
+        i: hints[name] for i, name in enumerate(inspect.signature(fn).parameters)
+        if isinstance(hints.get(name), type) and hints[name].__module__.startswith("swphase.")
+    }
+
+
+def test_every_public_function_that_takes_a_record_has_a_row():
+    # so that a new entry with a record parameter joins the table below
+    public = [getattr(swphase, name) for name in swphase.__all__]
+    takers = {fn.__name__ for fn in public if callable(fn) and not isinstance(fn, type) and _record_slots(fn)}
+    assert takers == set(RECORD_ARGS)
+
+
+@pytest.mark.parametrize("name", list(RECORD_ARGS))
+def test_record_slots_follow_the_record_rule(name):
+    # the number 1 or a record of another type in a record slot is "need a ...", and an N=2 record against the
+    # N=3 records of the other slots is "dimension does not match": never AttributeError, numpy's error or a value
+    fn, args = getattr(swphase, name), RECORD_ARGS[name]
+    fn(*args)
+    slots = _record_slots(fn)
+    for i, kind in slots.items():
+        for wrong in (1, E3 if kind is EulerSU2 else E2):
+            with pytest.raises(ValidationError, match="need a"):
+                fn(*args[:i], wrong, *args[i + 1 :])
+    carried = [i for i in slots if hasattr(args[i], "dim_n")]
+    for i in carried if len(carried) > 1 else ():
+        if type(args[i]) in AT_N2:
+            with pytest.raises(ValidationError, match="dimension does not match"):
+                fn(*args[:i], AT_N2[type(args[i])], *args[i + 1 :])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: chart_wf(rho_from_bloch(2, np.zeros(3)), MODULI, kernel_chart(MODULI), {}),
+        lambda: chart_wf(np.zeros(3), QUBIT, kernel_chart(MODULI), {}),
+        lambda: chart_wf(STATE, MODULI, QUBIT_CHART, {}),
+        lambda: chart_wf(STATE, -0.5, QUBIT_CHART, {}),
+        lambda: chart_wf(np.zeros(3), QUBIT, kernel_chart(qutrit_mu(-1.0 / 3.0)), {}),
+    ],
+    ids=["state", "standard chart", "qubit chart", "qubit chart nu", "adapted chart"],
+)
+def test_chart_wf_refuses_a_state_or_chart_of_another_n(call):
+    # a chart builds the Euler record of its angles, whose N the record rule compares with the state's and the kernel's
+    with pytest.raises(ValidationError, match="dimension does not match"):
         call()
 
 
