@@ -4,9 +4,9 @@ Haar samples are the Q factor of complex Ginibre matrices whose R factor has
 a positive real diagonal (Mezzadri 2007), then pushed from U(N) to SU(N) by
 dividing the first column by the determinant (a measure-preserving move for
 every balanced observable: the overall U(1) phase cancels between `U` and
-`U*` factors, so all Weingarten moments used here are unchanged).  That Q is
-built by classical Gram-Schmidt applied twice, vectorised over the batch,
-with the last column and the determinant in closed form for N <= 4.
+`U*` factors); an average whose integrand cancels it draws only the columns it
+reads.  That Q is built by classical Gram-Schmidt applied twice, vectorised
+over the batch, with the last column and the determinant in closed form for N <= 4.
 Sampling follows the counter-based substream contract of `_streams`, so the
 samples are independent of batching: sample `k` is the same in any batch,
 and whichever thread fills it.  Monte Carlo slices are batch-last: memory
@@ -140,6 +140,8 @@ class PhasePoint:
         if abs(np.linalg.det(u) - 1.0) > TOLERANCES.spectral:
             raise ValidationError("phase-space matrix determinant differs from 1 beyond tolerance")
         _freeze(self, dim_n=len(u), u=u)
+        if self.chart is not None:  # the chart record of the point's N
+            _check_records((self, PhasePoint), (self.chart, EulerSU2 if len(u) == 2 else EulerSU3))
 
 
 def _cofactors(q: np.ndarray) -> list:
@@ -155,22 +157,20 @@ def _cofactors(q: np.ndarray) -> list:
     return [(-1) ** (n - 1 - i) * minors[rows[:i] + rows[i + 1 :]] for i in rows]
 
 
-def _orthonormalize(g: np.ndarray) -> np.ndarray:
+def _orthonormalize(g: np.ndarray, prefix: int | None = None) -> np.ndarray | None:
     """The Q factor with positive real R diagonal of each matrix in `g`, computed in place; returns det Q.
 
-    Classical Gram-Schmidt over the columns, with the projection applied twice:
-    one pass loses orthogonality in proportion to the condition number, two
-    keep it at round-off (Giraud, Langou, Rozloznik 2005).  Sums run over
-    matrix indices only, never across the batch axis, so a sample's
-    arithmetic does not depend on the batch it is in.
+    Classical Gram-Schmidt over the columns, with the projection applied twice: one pass loses orthogonality in
+    proportion to the condition number, two keep it at round-off (Giraud, Langou, Rozloznik 2005).  Sums run over
+    matrix indices only, never across the batch axis, so a sample's arithmetic does not depend on the batch it is in.
 
-    For N <= 4 the last column is `e^{i psi} conj(w)`, `w` the `_cofactors` of
-    the others; a positive last R entry fixes `e^{i psi} = s/|s|` for
-    `s = det[q_0 .. q_{N-2}, g_{N-1}]`, and `det Q = e^{i psi} |w|^2 = e^{i psi}`
-    to round-off.  Above N = 4 every column is projected and LAPACK gives det Q.
+    For N <= 4 the last column is `e^{i psi} conj(w)`, `w` the `_cofactors` of the others; a positive last R entry
+    fixes `e^{i psi} = s/|s|` for `s = det[q_0 .. q_{N-2}, g_{N-1}]`, and `det Q = e^{i psi} |w|^2 = e^{i psi}` to
+    round-off.  Above N = 4 every column is projected and LAPACK gives det Q.  `prefix = c` projects the first c
+    columns alone and stops there, with no last column and no det Q, and returns `None`.
     """
     count, n = len(g), g.shape[-1]
-    cols = n - 1 if n <= 4 else n
+    cols = (n - 1 if n <= 4 else n) if prefix is None else prefix
     with lane_buffer(3 * count * n, complex) as rows:
         # temporaries in lane scratch, batch-last, so that each einsum loops over the samples innermost
         c, t, w = (r.reshape(n, count).T for r in rows.reshape(3, count * n))
@@ -185,6 +185,8 @@ def _orthonormalize(g: np.ndarray) -> np.ndarray:
                     v = np.subtract(v, np.einsum("kil,kl->ki", q, np.conjugate(cj, out=cj), out=t), out=w)
             norm = np.sqrt(np.einsum("ki,ki->k", v.real, v.real) + np.einsum("ki,ki->k", v.imag, v.imag))
             np.divide(v, norm[:, None], out=g[:, :, j])
+    if prefix is not None:
+        return None
     if cols == n:
         return np.linalg.det(g)
     cof = _cofactors(g)
@@ -195,13 +197,16 @@ def _orthonormalize(g: np.ndarray) -> np.ndarray:
     return phase
 
 
-def _haar_slice(n: int, seed: int, start: int, q: np.ndarray) -> None:
-    """Fill `q`, a complex `(count, n, n)` array, with Haar samples `start ..`, on the calling thread."""
+def _haar_slice(n: int, seed: int, start: int, q: np.ndarray, prefix: int | None = None) -> None:
+    """Fill `q`, a complex `(count, n, n)` array, with Haar samples `start ..`, on the calling thread; with
+    `prefix = c`, its first c columns alone, from the same normals, as they are before column 0 is divided by det Q."""
     with lane_buffer(len(q) * _padded_budget(2 * n * n)) as buf:
-        z = counter_normals(seed, start, len(q), 2 * n * n, out=buf)
-        q.real, q.imag = z[:, : n * n].reshape(q.shape), z[:, n * n :].reshape(q.shape)
+        z = counter_normals(seed, start, len(q), 2 * n * n, out=buf).reshape(len(q), 2, n, n)
+        q[:, :, :prefix].real, q[:, :, :prefix].imag = z[:, 0, :, :prefix], z[:, 1, :, :prefix]
     # Q does not depend on the Ginibre scale 1/sqrt(2), so it is not applied
-    q[:, :, 0] /= _orthonormalize(q)[:, None]
+    det = _orthonormalize(q, prefix)
+    if prefix is None:
+        q[:, :, 0] /= det[:, None]
 
 
 def haar_batch(n: int, seed: int, start: int, count: int, *, out: np.ndarray | None = None) -> np.ndarray:
@@ -474,21 +479,22 @@ def _merge_moments(a: tuple, b: tuple) -> tuple:
     return total, ma + d * (nb / total), qa + qb + np.array([d.real**2, d.imag**2]) * (na * nb / total)
 
 
-def _haar_average(n: int, seed: int, samples: int, f) -> tuple[np.ndarray, np.ndarray]:
+def _haar_average(n: int, seed: int, samples: int, f, prefix: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Haar average of `f` over samples `0 .. samples-1`, and the standard errors of its real and imaginary parts.
 
-    `f` maps a batch-last `(count, n, n)` slice of samples, lane scratch that
-    `f` may overwrite, to a `(count, ...)` array of real or complex values.
-    Each slice yields only its count, mean and centred sums of squares M2 of
-    the real and imaginary parts, and the caller merges them as they come, in
-    slice order.  Memory does not grow with `samples`, and the result is the
-    same on any number of CPUs.
+    `f` maps a batch-last `(count, n, n)` slice of samples, lane scratch that `f` may overwrite, to a `(count, ...)`
+    array of real or complex values; with `prefix = c` it gets only the `(count, n, c)` view of the first c columns,
+    drawn without the phase det Q (`_haar_slice`), which `f` must cancel.  Each slice yields only its count, mean and
+    centred sums of squares M2 of the real and imaginary parts, and the caller merges them as they come, in slice
+    order.  Memory does not grow with `samples`, and the result is the same on any number of CPUs.
     """
     check_samples(samples)
 
     def partial(a: int, b: int) -> tuple:
         with lane_buffer((b - a) * n * n, complex) as buf:
-            v = f(haar_batch(n, seed, a, b - a, out=buf.reshape(n, n, b - a).transpose(2, 0, 1)))
+            u = buf.reshape(n, n, b - a).transpose(2, 0, 1)
+            _haar_slice(n, seed, a, u, prefix)
+            v = f(u[:, :, :prefix])
             m = v.mean(axis=0)
             d = np.subtract(v, m, out=v)
         return b - a, m, np.array([np.square(d.real).sum(axis=0), np.square(d.imag).sum(axis=0)])
@@ -497,15 +503,22 @@ def _haar_average(n: int, seed: int, samples: int, f) -> tuple[np.ndarray, np.nd
     return mean, np.sqrt(m2 / samples) / math.sqrt(samples)
 
 
+def _moment_prefix(n: int, direct: tuple[int, ...], conjugate: tuple[int, ...]) -> int | None:
+    """The `_haar_average` prefix of a moment whose `U` and `U*` factors read the columns `direct` and `conjugate`,
+    if both kinds read column 0 equally often, so that det Q on it cancels, and not the last column; else `None`."""
+    top = max(direct + conjugate)
+    return top + 1 if direct.count(0) == conjugate.count(0) and top < n - 1 else None
+
+
 def weingarten2_check(n: int, indices: Sequence[int], samples: int, seed: int) -> MomentCheck:
     """Monte Carlo check of the second-order moment `E[U_{i j} U^dag_{k l}]`.
 
-    The closed form is `delta_{i l} delta_{j k} / N`.  Indices are 1-based
-    `(i, j, k, l)`; `sigma` is the standard error of the real part.
+    The closed form is `delta_{i l} delta_{j k} / N`.  Indices are 1-based `(i, j, k, l)`; `sigma` is the standard
+    error of the real part.  Only the columns the moment reads are drawn where `_moment_prefix` allows it.
     """
     n, (i, j, k, l) = _check_moment_args(n, indices, 4, samples)
     cf = (1.0 / n) if (i == l and j == k) else 0.0
-    mc, se = _haar_average(n, seed, samples, lambda u: u[:, i, j] * u[:, l, k].conj())
+    mc, se = _haar_average(n, seed, samples, lambda u: u[:, i, j] * u[:, l, k].conj(), _moment_prefix(n, (j,), (k,)))
     return MomentCheck(mc=complex(mc), closed_form=cf, sigma=float(se[0]))
 
 
@@ -521,13 +534,14 @@ def weingarten4_check(n: int, indices: Sequence[int], samples: int, seed: int) -
     Although the samples live on SU(N), balanced moments (equal numbers of U
     and U* factors) coincide with the U(N) Haar moments because the overall
     U(1) phase cancels, so the U(N)-form closed expression applies verbatim
-    for every N >= 2.
+    for every N >= 2.  Columns are drawn as in `weingarten2_check`.
     """
     n, (i1, j1, i2, j2, k1, l1, k2, l2) = _check_moment_args(n, indices, 8, samples)
     direct = (i1 == l1) * (i2 == l2) * (j1 == k1) * (j2 == k2) + (i1 == l2) * (i2 == l1) * (j1 == k2) * (j2 == k1)
     crossed = (i1 == l1) * (i2 == l2) * (j1 == k2) * (j2 == k1) + (i1 == l2) * (i2 == l1) * (j1 == k1) * (j2 == k2)
     cf = direct / (n * n - 1.0) - crossed / (n * (n * n - 1.0))
     mc, se = _haar_average(
-        n, seed, samples, lambda u: u[:, i1, j1] * u[:, i2, j2] * u[:, l1, k1].conj() * u[:, l2, k2].conj()
+        n, seed, samples, lambda u: u[:, i1, j1] * u[:, i2, j2] * u[:, l1, k1].conj() * u[:, l2, k2].conj(),
+        _moment_prefix(n, (j1, j2), (k1, k2)),
     )
     return MomentCheck(mc=complex(mc), closed_form=cf, sigma=float(se[0]))

@@ -173,10 +173,10 @@ def chart_wf(
 ) -> float | np.ndarray:
     """Closed-form Wigner values at chart points, broadcasting over array angles.
 
-    `kernel` is a moduli point, or a qutrit family parameter taken through
-    `qutrit_mu` as in `qutrit_wf`.  `xi` is a Bloch vector, checked here, or a
-    `DensityState`, taken as built.  The angle ranges are checked once for all
-    points; omitted angles are 0, and an angle the chart lacks is a `ValidationError`.
+    `kernel` is a moduli point, or a qutrit family parameter taken through `qutrit_mu` as in `qutrit_wf`.  `xi` is
+    a Bloch vector, checked here, or a `DensityState`, taken as built.  The angle ranges are checked once for all
+    points; omitted angles are 0.  An angle the chart lacks is a `ValidationError`, and so is a chart other than
+    `kernel_chart(kernel)` and the standard chart, which serves every kernel.
     """
     _check_records((chart, EulerChart))
     stray = [name for name in angles if name not in chart.angles]
@@ -186,6 +186,8 @@ def chart_wf(
     state = xi if isinstance(xi, DensityState) else rho_from_bloch(p.dim_n, xi)
     e = chart.euler(**angles)
     _check_records((state, DensityState), (p, ModuliPoint), (e, chart.euler))
+    if chart is not kernel_chart(p) and chart is not _STANDARD_CHART:
+        raise ValidationError(f"the {chart.name} chart does not serve this kernel: take kernel_chart or the standard chart")
     return _closed_form(state.bloch, chart.frame(p.mu, e))
 
 
@@ -197,21 +199,27 @@ def _delta_batch(u: np.ndarray, diag: np.ndarray) -> np.ndarray:
         return np.einsum("kij,j,klj->kil", u, diag, np.conjugate(u, out=buf.reshape(n, n, count).transpose(2, 0, 1)))
 
 
-def _symbol_batch(delta: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Symbols `tr(A Delta_k)` for a batch of kernels (real part): row sums added in row order, in any layout."""
-    return reduce(np.add, np.einsum("kil,li->ik", delta, a)).real
+def _flag(moduli: ModuliPoint, n: int) -> tuple[int, np.ndarray, float]:
+    """`(c, w, p[-1])` with `Delta = p[-1] I + sum_{j < c} w_j u_j u_j^dag`, `u_j` the columns of U, `p` the diagonal
+    of `P` read at call time, `w = p[:c] - p[-1]` and `c` N less the length of the trailing run of exactly equal entries
+    of `p`: the kernels read no other column, nor the phase of any column."""
+    p = kernel_diagonal(moduli, gell_mann_basis(n))
+    c = int(np.flatnonzero(p != p[-1]).max(initial=-1)) + 1
+    return c, p[:c] - p[-1], p[-1]
 
 
-def _kernels(moduli: ModuliPoint, n: int) -> Callable[[np.ndarray], np.ndarray]:
-    """The kernel map of a moduli point, `u -> U P U^dag` on a batch-last slice; `P` is read once, when it is built."""
-    diag = kernel_diagonal(moduli, gell_mann_basis(n))
-    return lambda u: _delta_batch(u, diag)
+def _column_symbols(u: np.ndarray, a: np.ndarray, w: np.ndarray, last: float) -> np.ndarray:
+    """Symbols `tr(A Delta) = last tr(A) + sum_j w_j u_j^dag A u_j` from the `(count, n, c)` columns `u` of a `_flag`,
+    with no kernel batch; rows and columns are added in their order, so the bits do not depend on the layout of `u`."""
+    v = np.einsum("il,klj->kij", a, u)
+    s = reduce(np.add, (np.conjugate(u[:, i]) * v[:, i] for i in range(len(a)))).real
+    return reduce(np.add, (w_j * s[:, j] for j, w_j in enumerate(w)), last * np.trace(a).real)
 
 
 def _kernel_average(moduli: ModuliPoint, n: int, seed: int, samples: int, f: Callable) -> tuple[np.ndarray, np.ndarray]:
-    """`_haar_average` of `f(delta)`, with `delta` the kernels of the moduli point at each slice."""
-    kernels = _kernels(moduli, n)
-    return _haar_average(n, seed, samples, lambda u: f(kernels(u)))
+    """`_haar_average` of `f(symbols)`, `symbols(A)` the symbols `tr(A Delta)` of a slice: only the `_flag` is drawn."""
+    c, w, last = _flag(moduli, n)
+    return _haar_average(n, seed, samples, lambda u: f(lambda a: _column_symbols(u, a, w, last)), c)
 
 
 def state_wf_sampler(state: DensityState, moduli: ModuliPoint) -> Callable[[np.ndarray], np.ndarray]:
@@ -220,8 +228,8 @@ def state_wf_sampler(state: DensityState, moduli: ModuliPoint) -> Callable[[np.n
     The returned callable has the signature `reconstruct_state` expects, so a
     known state can be pushed through the reconstruction round trip.
     """
-    kernels = _kernels(moduli, _check_records((state, DensityState), (moduli, ModuliPoint)))
-    return lambda u: _symbol_batch(kernels(u), state.rho)
+    c, w, last = _flag(moduli, _check_records((state, DensityState), (moduli, ModuliPoint)))
+    return lambda u: _column_symbols(u[:, :, :c], state.rho, w, last)
 
 
 class ReconstructionResult(NamedTuple):
@@ -259,9 +267,9 @@ def reconstruct_state(
     def terms(u: np.ndarray) -> np.ndarray:
         w = _as_array(wf_sampler(u), "wf_sampler values", (len(u),))
         # into the memory of `u`, unused once the kernels are built; C-ordered, so the mean adds the samples in order
-        return np.multiply(n * w[:, None, None], kernels(u), out=u.transpose(1, 2, 0).reshape(u.shape))
+        return np.multiply(n * w[:, None, None], _delta_batch(u, diag), out=u.transpose(1, 2, 0).reshape(u.shape))
 
-    kernels = _kernels(moduli, n)  # built in `terms` after the sampler's: one kernel batch is alive at a time
+    diag = kernel_diagonal(moduli, gell_mann_basis(n))
     mean, se = _haar_average(n, seed, samples, terms)
     estimate = math.sqrt(float(np.square(se).sum()))
     residue = float(np.linalg.norm((mean - mean.conj().T) / 2.0))
@@ -292,7 +300,7 @@ class NormCheckResult(NamedTuple):
 def check_norm(state: DensityState, moduli: ModuliPoint, samples: int, seed: int) -> NormCheckResult:
     """Monte Carlo check of the norm postulate: the Haar average of `N W` equals `tr(rho) = 1`."""
     n = _check_records((state, DensityState), (moduli, ModuliPoint))
-    mc, se = _kernel_average(moduli, n, seed, samples, lambda delta: n * _symbol_batch(delta, state.rho))
+    mc, se = _kernel_average(moduli, n, seed, samples, lambda symbols: n * symbols(state.rho))
     return NormCheckResult(mc=float(mc), sigma=float(se[0]))
 
 
@@ -300,7 +308,7 @@ def check_standardisation(a: np.ndarray, moduli: ModuliPoint, samples: int, seed
     """Monte Carlo check of standardisation: `N * E[tr(A Delta)] = tr(A)`."""
     a = _hermitian(a, "A")
     n = a.shape[0]
-    mc, se = _kernel_average(moduli, n, seed, samples, lambda delta: n * _symbol_batch(delta, a))
+    mc, se = _kernel_average(moduli, n, seed, samples, lambda symbols: n * symbols(a))
     return CheckResult(mc=float(mc), target=float(np.trace(a).real), sigma=float(se[0]))
 
 
@@ -315,9 +323,7 @@ def check_traciality(
     a = _hermitian(a, "A")
     n = a.shape[0]
     b = _hermitian(b, "B", n)
-    mc, se = _kernel_average(
-        moduli, n, seed, samples, lambda delta: n * _symbol_batch(delta, a) * _symbol_batch(delta, b)
-    )
+    mc, se = _kernel_average(moduli, n, seed, samples, lambda symbols: n * symbols(a) * symbols(b))
     return CheckResult(mc=float(mc), target=float(np.trace(a @ b).real), sigma=float(se[0]))
 
 

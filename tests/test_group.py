@@ -10,6 +10,7 @@ import subprocess
 import sys
 import threading
 import warnings
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -290,6 +291,17 @@ def test_phase_point_validates_unitarity():
         PhasePoint(dim_n=2, u=np.full((2, 2), np.nan, dtype=complex))
 
 
+def test_phase_point_chart_is_the_chart_of_its_n():
+    # the optional chart tag goes through the record rule with the point
+    u2, u3, u4 = (haar_sample(n, 1).u for n in (2, 3, 4))
+    assert PhasePoint(3, u3, chart=EulerSU3()).chart.dim_n == 3 and PhasePoint(2, u2, chart=EulerSU2()).chart.dim_n == 2
+    for n, u, chart in ((3, u3, EulerSU2()), (2, u2, EulerSU3()), (3, u3, "standard"), (2, u2, 1)):
+        with pytest.raises(ValidationError, match="need a PhasePoint and a EulerSU"):
+            PhasePoint(n, u, chart=chart)
+    with pytest.raises(ValidationError, match="dimension does not match"):
+        PhasePoint(4, u4, chart=EulerSU3())
+
+
 # --------------------------------------------------------------------------
 # Euler charts
 
@@ -537,3 +549,84 @@ def test_weingarten_deterministic():
     a = weingarten4_check(3, (1, 2, 2, 1, 1, 2, 2, 1), samples=20_000, seed=12)
     b = weingarten4_check(3, (1, 2, 2, 1, 1, 2, 2, 1), samples=20_000, seed=12)
     assert a.mc == b.mc and a.sigma == b.sigma
+
+
+def _recorded_prefixes(monkeypatch) -> list:
+    prefixes, fill = [], group._haar_slice
+
+    def haar_slice(n, seed, start, q, prefix=None):
+        prefixes.append(prefix)
+        fill(n, seed, start, q, prefix)
+
+    monkeypatch.setattr(group, "_haar_slice", haar_slice)
+    return prefixes
+
+
+def _moment_integrand(pattern):
+    # the product of the U entries, then of the conjugated U^dag ones, in the order the checks take it
+    idx = [i - 1 for i in pattern]
+    direct, conjugate = ([(idx[a], idx[a + 1]) for a in range(0, len(idx) // 2, 2)],
+                         [(idx[a + 1], idx[a]) for a in range(len(idx) // 2, len(idx), 2)])
+    return lambda u: reduce(np.multiply, [u[:, i, j] for i, j in direct] + [u[:, i, j].conj() for i, j in conjugate])
+
+
+WHOLE_SAMPLE_MOMENTS = [
+    (weingarten2_check, 3, (1, 1, 2, 2)),  # U reads column 0, U* does not
+    (weingarten2_check, 3, (1, 2, 1, 1)),  # U* reads column 0, U does not
+    (weingarten2_check, 3, (1, 3, 3, 1)),  # the last column
+    (weingarten2_check, 4, (2, 4, 4, 2)),
+    (weingarten4_check, 3, (1, 1, 2, 1, 1, 1, 2, 1)),  # two U factors on column 0, one U*
+    (weingarten4_check, 3, (1, 3, 1, 1, 3, 1, 1, 1)),  # balanced, but reads the last column
+    (weingarten4_check, 2, (1, 2, 2, 1, 1, 2, 2, 1)),
+]
+
+
+@pytest.mark.parametrize(
+    ("check", "n", "pattern"), WHOLE_SAMPLE_MOMENTS,
+    ids=[f"{check.__name__} N={n} {pattern}" for check, n, pattern in WHOLE_SAMPLE_MOMENTS],
+)
+def test_moments_that_need_whole_samples_keep_their_bits(check, n, pattern, monkeypatch):
+    # det Q on column 0 does not cancel in these, or the prefix would reach the last column: they average
+    # over whole SU(N) samples, the samples of haar_batch, bit for bit as before prefixes existed
+    prefixes = _recorded_prefixes(monkeypatch)
+    result = check(n, pattern, 10_000, 3)
+    assert set(prefixes) == {None}
+    mean, se = group._haar_average(n, 3, 10_000, _moment_integrand(pattern))
+    assert (result.mc, result.sigma) == (complex(mean), float(se[0]))
+
+
+BALANCED_MOMENTS = [
+    (weingarten2_check, 2, (1, 1, 1, 1), 1),
+    (weingarten2_check, 6, (2, 1, 1, 2), 1),
+    (weingarten2_check, 4, (1, 3, 3, 1), 3),
+    (weingarten4_check, 3, (1, 1, 2, 2, 1, 1, 2, 2), 2),
+    (weingarten4_check, 6, (1, 1, 1, 1, 1, 1, 1, 1), 1),
+]
+
+
+@pytest.mark.parametrize(
+    ("check", "n", "pattern", "columns"), BALANCED_MOMENTS,
+    ids=[f"{check.__name__} N={n} {pattern}" for check, n, pattern, _ in BALANCED_MOMENTS],
+)
+def test_balanced_moments_draw_only_the_columns_they_read(check, n, pattern, columns, monkeypatch):
+    # as many U as U* factors read column 0, so det Q cancels: the columns read suffice, and the result
+    # is the whole-sample average to round-off
+    prefixes = _recorded_prefixes(monkeypatch)
+    result = check(n, pattern, 10_000, 3)
+    assert set(prefixes) == {columns}
+    mean, se = group._haar_average(n, 3, 10_000, _moment_integrand(pattern))
+    assert abs(result.mc - complex(mean)) <= 1e-15 and abs(result.sigma - float(se[0])) <= 1e-15
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_haar_slice_prefix_keeps_the_columns_of_the_whole_sample(n):
+    # the same normals and Gram-Schmidt: columns 1 .. c-1 bit for bit, column 0 before its division by det Q
+    count, whole = 300, haar_batch(n, 6, 5, 300)
+    for c in range(1, n):
+        q = np.full((n, n, count), np.nan, dtype=complex).transpose(2, 0, 1)
+        group._haar_slice(n, 6, 5, q, c)
+        assert np.array_equal(q[:, :, 1:c], whole[:, :, 1:c])
+        undivided = whole.copy()
+        undivided[:, :, 0] = q[:, :, 0]  # the sample before the SU(N) move, whose det Q divides column 0
+        assert np.max(np.abs(q[:, :, 0] / np.linalg.det(undivided)[:, None] - whole[:, :, 0])) <= 1e-14
+        assert np.all(np.isnan(q[:, :, c:]))  # the rest is neither drawn nor projected

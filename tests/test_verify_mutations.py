@@ -34,16 +34,17 @@ def scaled_purity(monkeypatch):
 
 
 def near_identity_sampler(monkeypatch):
-    # every sample replaced by the unitary part of (I + U)/2, which crowds the samples towards the identity
-    original = group.haar_batch
+    # every sample replaced by the unitary part of (I + U)/2, which crowds the samples towards the identity; the
+    # fault sits in the slice drawer of haar_batch and of every Monte Carlo average, and it draws whole samples
+    # even where the average asks for a prefix of their columns
+    original = group._haar_slice
 
-    def haar_batch(n, seed, start, count, *, out=None):
-        u = original(n, seed, start, count, out=out)
-        w, _, vh = np.linalg.svd((np.eye(n) + u) / 2.0)
-        u[...] = w @ vh
-        return u
+    def haar_slice(n, seed, start, q, prefix=None):
+        original(n, seed, start, q)
+        w, _, vh = np.linalg.svd((np.eye(n) + q) / 2.0)
+        q[...] = w @ vh
 
-    monkeypatch.setattr(group, "haar_batch", haar_batch)
+    monkeypatch.setattr(group, "_haar_slice", haar_slice)
 
 
 def transposed_kernel(monkeypatch):

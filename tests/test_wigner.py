@@ -17,6 +17,7 @@ from swphase import (
     EulerSU2,
     EulerSU3,
     InvalidStateError,
+    ModuliPoint,
     ValidationError,
     assemble_kernel,
     chart_wf,
@@ -43,7 +44,8 @@ from swphase import (
     wigner_value,
 )
 from swphase import _streams
-from swphase.wigner import _closed_form, _delta_batch, _symbol_batch
+from swphase import group
+from swphase.wigner import _closed_form, _column_symbols, _delta_batch, _flag
 from conftest import ball_vector
 
 B2 = gell_mann_basis(2)
@@ -188,6 +190,24 @@ def test_chart_wf_takes_a_built_state_or_checks_a_vector():
         chart_wf(np.array([0.0, 0.0, 2.0]), qubit, chart, angles)
     with pytest.raises(ValidationError, match="dimension"):
         chart_wf(rho_from_bloch(3, np.zeros(8)), qubit, chart, angles)
+
+
+@pytest.mark.parametrize(
+    ("kernel", "route"),
+    [(-0.5, -1.0 / 3.0), (qutrit_mu(-0.5), -1.0), (-1.0, -1.0 / 3.0), (-1.0 / 3.0, -1.0), (moduli_point(3, [0.0, -1.0]), -1.0)],
+    ids=["nu=-0.5 adapted", "mu(-0.5) reduced", "nu=-1 adapted", "nu=-1/3 reduced", "mu=(0,-1) reduced"],
+)
+def test_chart_wf_refuses_the_chart_of_another_kernel(kernel, route):
+    # the reduced and adapted frames hold only their own kernel; the adapted one ignores the moduli point,
+    # so nu = -0.5 on it once returned 0.350198 where the standard chart gives 0.351168
+    state, angles = rho_from_bloch(3, np.full(8, 0.1)), dict(alpha=0.3, beta=0.4, gamma=0.5, theta=0.6)
+    with pytest.raises(ValidationError, match="chart does not serve this kernel"):
+        chart_wf(state, kernel, kernel_chart(qutrit_mu(route)), angles)
+    p = kernel if isinstance(kernel, ModuliPoint) else qutrit_mu(kernel)
+    standard = kernel_chart(qutrit_mu(-0.5))
+    assert chart_wf(state, kernel, standard, angles) == pytest.approx(
+        wigner_closed_form(state.bloch, p, su3_from_euler(EulerSU3(**angles), B3), B3), abs=1e-12
+    )
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -377,24 +397,58 @@ def test_norm_sigma_matches_two_pass_std():
     state = rho_from_bloch(3, np.full(8, 1e-9))
     samples = 20_001
     result = check_norm(state, p, samples, seed=1)
-    u = haar_batch(3, 1, 0, samples)
-    values = 3 * _symbol_batch(_delta_batch(u, kernel_diagonal(p, B3)), state.rho)
+    values = 3 * state_wf_sampler(state, p)(haar_batch(3, 1, 0, samples))
     assert result.sigma == pytest.approx(values.std() / math.sqrt(samples), rel=1e-6)
+
+
+def _moduli(n: int):
+    """A generic kernel of N levels, from a fixed random direction."""
+    mu = np.random.default_rng(n).normal(size=n - 1)
+    return moduli_point(n, mu / np.linalg.norm(mu))
+
+
+@pytest.mark.parametrize(
+    ("moduli", "columns"),
+    [(MU2, 1), (qutrit_mu(-0.5), 2), (qutrit_mu(-1.0), 2), (_moduli(4), 3), (_moduli(6), 5)],
+    ids=["N=2", "nu=-0.5", "nu=-1", "N=4", "N=6"],
+)
+def test_flag_columns_end_at_the_trailing_run_of_the_last_eigenvalue(moduli, columns):
+    # nu = -1 has diagonal (1, 1, -1): its last eigenvalue is the unique one, so it needs two columns, not one
+    n = moduli.dim_n
+    c, w, last = _flag(moduli, n)
+    p = kernel_diagonal(moduli, gell_mann_basis(n))
+    assert c == columns and last == p[-1] and np.array_equal(w, p[:c] - p[-1])
+    assert np.all(p[c:] == p[-1]) and p[c - 1] != p[-1]
+
+
+@pytest.mark.parametrize(
+    "moduli", [MU2, qutrit_mu(-0.5), qutrit_mu(-1.0), qutrit_mu(-1.0 / 3.0), _moduli(4), _moduli(6)],
+    ids=["N=2", "nu=-0.5", "nu=-1", "nu=-1/3", "N=4", "N=6"],
+)
+def test_column_symbols_match_the_kernel_trace(moduli):
+    # the columns drawn without the SU(N) phase give tr(A U P U^dag) of the whole samples of haar_batch
+    n, count = moduli.dim_n, 300
+    c, w, last = _flag(moduli, n)
+    columns = np.empty((n, n, count), dtype=complex).transpose(2, 0, 1)
+    group._haar_slice(n, 2, 0, columns, c)
+    a = seeded_hermitian(n, 5)
+    kernels = _delta_batch(haar_batch(n, 2, 0, count), kernel_diagonal(moduli, gell_mann_basis(n)))
+    want = np.einsum("kil,li->k", kernels, a).real
+    assert np.max(np.abs(_column_symbols(columns[:, :, :c], a, w, last) - want)) <= 1e-13
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 6])
 def test_kernel_and_symbol_bits_do_not_depend_on_layout(n):
-    # the Monte Carlo slices are batch-last views; the symbols keep the bits of the
-    # C-ordered `tr(A Delta)` einsum the golden corpus was made with
+    # the Monte Carlo slices are batch-last views, the samples of haar_batch C-ordered: kernels and
+    # column symbols keep their bits in both
     u = haar_batch(n, 2, 0, 300)
     view = np.empty((n, n, len(u)), dtype=complex).transpose(2, 0, 1)
     view[...] = u
     diag = np.linspace(1.0, -0.5, n)
     a = seeded_hermitian(n, 5)
-    delta, moved = _delta_batch(u, diag), _delta_batch(view, diag)
-    assert np.array_equal(moved, delta)
-    symbols = np.einsum("kil,li->k", delta, a).real
-    assert np.array_equal(_symbol_batch(delta, a), symbols) and np.array_equal(_symbol_batch(moved, a), symbols)
+    assert np.array_equal(_delta_batch(view, diag), _delta_batch(u, diag))
+    c, w, last = n - 1, diag[:-1] - diag[-1], diag[-1]
+    assert np.array_equal(_column_symbols(view[:, :, :c], a, w, last), _column_symbols(u[:, :, :c], a, w, last))
 
 
 def test_reconstruction_sums_c_ordered_terms():
@@ -402,9 +456,8 @@ def test_reconstruction_sums_c_ordered_terms():
     # the layout the slice is drawn in
     p, state, samples = qutrit_mu(-0.5), rho_from_bloch(3, np.full(8, 0.1)), 2000
     u = haar_batch(3, 6, 0, samples)
-    diag = kernel_diagonal(p, B3)
-    w = _symbol_batch(_delta_batch(u, diag), state.rho)
-    mean = (3 * w[:, None, None] * _delta_batch(u, diag)).mean(axis=0)
+    w = state_wf_sampler(state, p)(u)
+    mean = (3 * w[:, None, None] * _delta_batch(u, kernel_diagonal(p, B3))).mean(axis=0)
     rho_hat = reconstruct_state(state_wf_sampler(state, p), 3, p, samples, 6).rho_hat
     assert np.array_equal(rho_hat, (mean + mean.conj().T) / 2.0)
 
