@@ -9,7 +9,8 @@ state (Salmon et al., SC'11).  Consequences, relied on throughout:
   same seed, which makes convergence-rate measurements well correlated.
 
 Each sample owns a fixed budget of 64-bit words, padded to a multiple of 4 so
-that sample boundaries coincide with Philox counter blocks.
+that sample boundaries coincide with Philox counter blocks.  A normal is `ndtri`
+of its word alone (`_normals`), so a Haar slice maps only the words it reads.
 
 Every Monte Carlo loop runs on the slice engine `over_slices`: the lanes of a
 per-process thread pool draw `_SLICE`-sample slices into scratch borrowed from
@@ -142,10 +143,15 @@ def counter_uniforms(seed: int, start: int, count: int, width: int, *, out: np.n
 
 def counter_normals(seed: int, start: int, count: int, width: int, *, out: np.ndarray | None = None) -> np.ndarray:
     """Standard normal variates with the same substream addressing (and `out`) as `counter_uniforms`."""
+    u = counter_uniforms(seed, start, count, width, out=out)
+    return _normals(u, u)
+
+
+def _normals(u: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """`ndtri` of the uniforms `u`, word by word, into `out`: `u` itself or any view of its shape, strided or not."""
     with _NDTRI_LOCK:
         ndtri = _ndtri()
-    u = counter_uniforms(seed, start, count, width, out=out)
-    return ndtri(u, out=u)
+    return ndtri(u, out=out)
 
 
 @cache

@@ -24,8 +24,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ._streams import _as_array, _as_index, _check_records, _freeze, _padded_budget
-from ._streams import check_samples, check_seed, counter_normals, lane_buffer, over_slices
+from ._streams import _as_array, _as_index, _check_records, _freeze, _normals, _padded_budget
+from ._streams import check_samples, check_seed, counter_uniforms, lane_buffer, over_slices
 from .algebra import GellMannBasis, expand_in_basis, gell_mann_basis
 from .config import TOLERANCES
 from .errors import DomainError, ValidationError
@@ -199,10 +199,13 @@ def _orthonormalize(g: np.ndarray, prefix: int | None = None) -> np.ndarray | No
 
 def _haar_slice(n: int, seed: int, start: int, q: np.ndarray, prefix: int | None = None) -> None:
     """Fill `q`, a complex `(count, n, n)` array, with Haar samples `start ..`, on the calling thread; with
-    `prefix = c`, its first c columns alone, from the same normals, as they are before column 0 is divided by det Q."""
+    `prefix = c`, its first c columns alone, as they are before column 0 is divided by det Q.  Only the uniforms of
+    the columns filled pass through `ndtri`, straight into `q`, each to the normal `counter_normals` gives it."""
     with lane_buffer(len(q) * _padded_budget(2 * n * n)) as buf:
-        z = counter_normals(seed, start, len(q), 2 * n * n, out=buf).reshape(len(q), 2, n, n)
-        q[:, :, :prefix].real, q[:, :, :prefix].imag = z[:, 0, :, :prefix], z[:, 1, :, :prefix]
+        z = counter_uniforms(seed, start, len(q), 2 * n * n, out=buf).reshape(len(q), 2, n, n)[..., :prefix]
+        # axes reversed: where scratch and a batch-last `q` disagree, numpy loops in the given order, samples innermost
+        for k, part in enumerate((q[:, :, :prefix].real, q[:, :, :prefix].imag)):
+            _normals(z[:, k].T, part.T)
     # Q does not depend on the Ginibre scale 1/sqrt(2), so it is not applied
     det = _orthonormalize(q, prefix)
     if prefix is None:
@@ -243,10 +246,8 @@ def _rot_real(n: int, i: int, j: int, angle: float) -> np.ndarray:
     """exp of `angle` times the antisymmetric generator in the (i, j) plane."""
     m = np.eye(n, dtype=complex)
     c, s = math.cos(angle), math.sin(angle)
-    m[i, i] = c
-    m[j, j] = c
-    m[i, j] = s
-    m[j, i] = -s
+    m[i, i] = m[j, j] = c
+    m[i, j], m[j, i] = s, -s
     return m
 
 
@@ -344,11 +345,10 @@ def n3_closed_form(e: EulerSU3) -> np.ndarray:
     _check_records((e, EulerSU3))
     al, be, ga, a, b, th = e.alpha, e.beta, e.gamma, e.a, e.b, e.theta
     sb, cb = np.sin(b), np.cos(b)
-    cth = np.cos(th)
+    sth, cth = np.sin(th), np.cos(th)
     s2t = np.sin(2.0 * th)
-    flat = 1.0 - 0.5 * np.sin(th) ** 2
+    flat = 1.0 - 0.5 * sth**2
     sbe2, cbe2 = np.sin(be / 2.0), np.cos(be / 2.0)
-    sth = np.sin(th)
     return _frame(
         sb * cth * (np.sin(al) * np.sin(a + ga) - np.cos(al) * np.cos(be) * np.cos(a + ga))
         - np.cos(al) * np.sin(be) * cb * flat,
@@ -426,9 +426,7 @@ def ad_t_matrix() -> np.ndarray:
     overall phase that would put `T` itself into SU(3).  Orthogonal and
     involutive.
     """
-    t = np.zeros((3, 3), dtype=complex)
-    t[0, 2] = t[1, 1] = t[2, 0] = 1.0
-    m = adjoint_matrix(t, gell_mann_basis(3))
+    m = adjoint_matrix(np.eye(3, dtype=complex)[::-1], gell_mann_basis(3))
     m.setflags(write=False)
     return m
 

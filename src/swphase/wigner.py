@@ -275,11 +275,7 @@ def reconstruct_state(
     residue = float(np.linalg.norm((mean - mean.conj().T) / 2.0))
     rho_hat = (mean + mean.conj().T) / 2.0
     rho_hat.setflags(write=False)
-    return ReconstructionResult(
-        rho_hat=rho_hat,
-        frobenius_error_estimate=estimate,
-        antihermitian_residue=residue,
-    )
+    return ReconstructionResult(rho_hat=rho_hat, frobenius_error_estimate=estimate, antihermitian_residue=residue)
 
 
 class CheckResult(NamedTuple):

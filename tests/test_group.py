@@ -209,19 +209,26 @@ def test_haar_batch_batch_last_matches_c_order(n):
 
 def test_counter_normals_leave_no_large_scratch(monkeypatch):
     # on a fresh thread with one lane: a large direct draw allocates its own
-    # array, and the engine's scratch never holds more than one slice
+    # array, and the engine's scratch never holds more than one slice; a Haar
+    # slice that takes the normals of one column, straight into its samples,
+    # holds one slice of uniforms below its samples and no buffer beside them
     monkeypatch.setattr(_streams, "_cores", lambda: 1)
-    sizes = []
+    sizes, haar_sizes = [], []
 
     def run():
         counter_normals(0, 0, 10**5, 8)
         moduli_domain_fraction(9, 10**5, 0)  # 8 normals per sample, as above
         sizes.extend(buf.nbytes for buf in _streams._LANE.free)
+        group._haar_average(6, 0, 10**4, lambda u: u[:, 0, 0], 1)
+        haar_sizes.extend(buf.nbytes for buf in _streams._LANE.free)
 
     worker = threading.Thread(target=run)
     worker.start()
     worker.join(timeout=30)
+    assert not worker.is_alive()
     assert sizes and max(sizes) <= _streams._SLICE * 8 * 8
+    # one buffer per nesting level: the slice of samples, then its uniforms (Gram-Schmidt's rows reuse theirs)
+    assert len(haar_sizes) == 2 and max(haar_sizes) <= _streams._SLICE * _streams._padded_budget(2 * 6 * 6) * 8
 
 
 def _peak_rss_mib(samples: int) -> float:
@@ -630,3 +637,26 @@ def test_haar_slice_prefix_keeps_the_columns_of_the_whole_sample(n):
         undivided[:, :, 0] = q[:, :, 0]  # the sample before the SU(N) move, whose det Q divides column 0
         assert np.max(np.abs(q[:, :, 0] / np.linalg.det(undivided)[:, None] - whole[:, :, 0])) <= 1e-14
         assert np.all(np.isnan(q[:, :, c:]))  # the rest is neither drawn nor projected
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_haar_slice_draws_the_normals_of_counter_normals_into_the_columns_it_fills(n, monkeypatch):
+    # only the words of the columns filled pass through ndtri, straight into the slice: what Gram-Schmidt gets is
+    # the words of counter_normals bit for bit, in batch-last slices and C-ordered ones (haar_batch), and a column
+    # at or beyond the prefix keeps what it held
+    drawn, orthonormalize = [], group._orthonormalize
+
+    def capture(g, prefix=None):
+        drawn.append(g.copy())
+        return orthonormalize(g, prefix)
+
+    monkeypatch.setattr(group, "_orthonormalize", capture)
+    count = 300
+    z = counter_normals(6, 5, count, 2 * n * n).reshape(count, 2, n, n)
+    for c in [*range(1, n), None]:
+        for q in (np.full((n, n, count), np.nan, complex).transpose(2, 0, 1), np.full((count, n, n), np.nan, complex)):
+            group._haar_slice(n, 6, 5, q, c)
+            g = drawn.pop()
+            for part, words in ((g.real, z[:, 0]), (g.imag, z[:, 1])):
+                assert np.ascontiguousarray(part[:, :, :c]).tobytes() == np.ascontiguousarray(words[:, :, :c]).tobytes()
+            assert np.all(np.isnan(g[:, :, n if c is None else c :]))

@@ -4,11 +4,12 @@ Each case builds a valid input, spoils one drawn entry with a non-finite
 value or with one that is not a number, and calls the validating entry
 point, which must raise `ValidationError` or `DomainError` before any
 Monte Carlo work; each case also has a wrong-shape input.  Single numbers
-given as lists, an N that is not an integer of 2 or more and a number where
-a record belongs are package errors too.  Every public function that takes
-a record refuses a number or a record of another type there, and records of
-different N, through one rule.  The records that hold arrays compare by
-identity and keep read-only copies of them.
+given as lists, an N that is not an integer of 2 or more (in every public
+function whose first parameter is N) and a number where a record belongs are
+package errors too.  Every public function that takes a record refuses a
+number or a record of another type there, and records of different N,
+through one rule.  The records that hold arrays compare by identity and keep
+read-only copies of them.
 """
 import dataclasses
 import inspect
@@ -45,10 +46,12 @@ from swphase import (
     check_traciality,
     expand_in_basis,
     gell_mann_basis,
+    haar_batch,
     haar_sample,
     isotropy_signature,
     kernel_chart,
     kernel_diagonal,
+    moduli_domain_fraction,
     moduli_point,
     nu_from_zeta,
     qutrit_bloch_constraints,
@@ -359,12 +362,11 @@ def test_labels_must_be_integers(call):
 @pytest.mark.parametrize(
     "call",
     [
-        lambda n: rho_from_bloch(n, np.zeros(3)),
         lambda n: DensityState(dim_n=n, bloch=np.zeros(3)),
         lambda n: KernelMatrix(n, np.eye(2)),
         GellMannBasis,
     ],
-    ids=["rho_from_bloch", "DensityState", "KernelMatrix", "GellMannBasis"],
+    ids=["DensityState", "KernelMatrix", "GellMannBasis"],
 )
 def test_records_take_n_as_an_integer(call):
     # each record checks its own N, so no path stores 2.0 or reads "2" as a shape
@@ -374,17 +376,35 @@ def test_records_take_n_as_an_integer(call):
     assert call(np.int64(2)).dim_n == 2
 
 
-@pytest.mark.parametrize(
-    "call",
-    [
-        lambda n: weingarten2_check(n, (1, 2, 2, 1), 10_000, 1),
-        lambda n: weingarten4_check(n, (1,) * 8, 10_000, 1),
-        bloch_scale,
-    ],
-    ids=["weingarten2_check", "weingarten4_check", "bloch_scale"],
-)
-def test_functions_take_n_as_an_integer(call):
+#: Public function whose first parameter is N -> a call of it with valid arguments at that N.
+N_ARGS = {
+    "weingarten2_check": lambda n: weingarten2_check(n, (1, 2, 2, 1), 10_000, 1),
+    "weingarten4_check": lambda n: weingarten4_check(n, (1,) * 8, 10_000, 1),
+    "bloch_scale": bloch_scale,
+    "haar_sample": lambda n: haar_sample(n, 1),
+    "haar_batch": lambda n: haar_batch(n, 1, 0, 4),
+    "moduli_point": lambda n: moduli_point(n, [1.0]),
+    "moduli_domain_fraction": lambda n: moduli_domain_fraction(n, 1000, 1),
+    "seeded_hermitian": lambda n: seeded_hermitian(n, 1),
+    "gell_mann_basis": gell_mann_basis,
+    "rho_from_bloch": lambda n: rho_from_bloch(n, np.zeros(3)),
+}
+
+
+def test_every_public_function_that_takes_an_n_has_a_row():
+    # so that a new entry whose first parameter is N joins the table below
+    public = [getattr(swphase, name) for name in swphase.__all__]
+    takers = {
+        fn.__name__ for fn in public
+        if callable(fn) and not isinstance(fn, type) and next(iter(inspect.signature(fn).parameters), None) == "n"
+    }
+    assert takers == set(N_ARGS)
+
+
+@pytest.mark.parametrize("name", list(N_ARGS))
+def test_functions_take_n_as_an_integer(name):
     # N goes through the integer rule before any lane buffer is sized or any factor is formed
+    call = N_ARGS[name]
     for n in (2.0, 2.5, "2", 1):
         with pytest.raises(DomainError):
             call(n)
