@@ -228,29 +228,46 @@ def cmd_spectrum(args) -> tuple:
     return 0, payload, *_table({"multiplicities": "multiplicity", "flag_dims": None}, payload)
 
 
-def _record(check: str, n: int, moduli, samples: int, seed: int, mc: float, target: float, sigma: float) -> dict:
-    """One check's record, with the one pass rule: |z| <= 3, or within the algebraic tolerance when sigma is 0."""
+def _record(check: str, r, seed: int) -> dict:
+    """The record of `_CHECKS[check]` on the run's inputs `r` and the substream `seed`.
+
+    The one pass rule: |z| <= 3, or within the algebraic tolerance when sigma is 0.
+    """
+    _, samples, estimate = _CHECKS[check]
+    mc, target, sigma = estimate(r, seed)
     z = abs(mc - target) / sigma if sigma > 0 else (0.0 if abs(mc - target) <= TOLERANCES.algebraic else math.inf)
-    return {
-        "check": check,
-        "n": n,
-        "moduli": moduli,
-        "samples": samples,
-        "seed": seed,
-        "mc": mc,
-        "target": target,
-        "sigma": sigma,
-        "z": z,
-        "pass": z <= _Z_LIMIT,
-    }
+    return {"check": check, "n": r.n, "moduli": r.mu, "samples": samples or r.samples, "seed": seed, "mc": mc,
+            "target": target, "sigma": sigma, "z": z, "pass": z <= _Z_LIMIT}
 
 
-def _fraction_record(n: int, moduli, samples: int, seed: int) -> dict:
+def _moduli_fraction(n: int, samples: int, seed: int) -> tuple[float, float, float]:
     mc = moduli_domain_fraction(n, samples, seed)  # checks samples and seed before sigma divides by samples
     target = 1.0 / math.factorial(n)
     # N=2 is exact (no sampling), so sigma 0 sends it to the algebraic tolerance
-    sigma = math.sqrt(target * (1.0 - target) / samples) if n > 2 else 0.0
-    return _record("moduli_fraction", n, moduli, samples, seed, mc, target, sigma)
+    return mc, target, math.sqrt(target * (1.0 - target) / samples) if n > 2 else 0.0
+
+
+def _reconstruction_error(r, seed: int) -> tuple[float, float, float]:
+    recon = reconstruct_state(state_wf_sampler(r.state, r.moduli), r.n, r.moduli, r.samples, seed)
+    return float(np.linalg.norm(recon.rho_hat - r.state.rho)), 0.0, recon.frobenius_error_estimate
+
+
+#: The checks of `verify` in output order: name -> (seed offset past --seed, sample count or None for --samples,
+#: estimator).  An estimator returns (mc, target, sigma) from the run's inputs `r` (n, mu, moduli, samples, the state
+#: and the Hermitian pair a, b) and the check's seed; it names the functions it calls, so a replaced one runs.
+_CHECKS = {
+    "covariance": (12, 1, lambda r, seed: (  # algebraic: one sample, sigma 0
+        check_covariance(r.state, haar_sample(r.n, seed), r.moduli, haar_sample(r.n, seed + 1).u), 0.0, 0.0)),
+    "norm": (1, None, lambda r, seed: ((c := check_norm(r.state, r.moduli, r.samples, seed)).mc, 1.0, c.sigma)),
+    "standardisation": (2, None, lambda r, seed: check_standardisation(r.a, r.moduli, r.samples, seed)),
+    "traciality": (3, None, lambda r, seed: check_traciality(r.a, r.b, r.moduli, r.samples, seed)),
+    "weingarten2": (4, None, lambda r, seed: (
+        (m := weingarten2_check(r.n, (1,) * 4, r.samples, seed)).mc.real, m.closed_form, m.sigma)),
+    "weingarten4": (5, None, lambda r, seed: (
+        (m := weingarten4_check(r.n, (1,) * 8, r.samples, seed)).mc.real, m.closed_form, m.sigma)),
+    "moduli_fraction": (6, None, lambda r, seed: _moduli_fraction(r.n, r.samples, seed)),
+    "reconstruction": (7, None, lambda r, seed: _reconstruction_error(r, seed)),
+}
 
 
 def _table(columns: dict, *records: dict) -> tuple[dict, list]:
@@ -260,7 +277,7 @@ def _table(columns: dict, *records: dict) -> tuple[dict, list]:
 
 
 def cmd_moduli_sample(args) -> tuple:
-    record = _fraction_record(args.n, (), args.samples, args.seed)
+    record = _record("moduli_fraction", argparse.Namespace(n=args.n, mu=(), samples=args.samples), args.seed)
     return 0 if record["pass"] else 1, record, *_table({"moduli": None}, record)
 
 
@@ -356,35 +373,9 @@ def cmd_verify(args) -> tuple:
         raise DomainError(
             f"verify needs at least {_MOMENT_MIN_SAMPLES} samples for its Weingarten moment checks, got {samples}"
         )
-    state = _seeded_ball_state(n, seed + 11)
-
-    # covariance is algebraic: one sample, sigma 0
-    residual = check_covariance(state, haar_sample(n, seed + 12), moduli, haar_sample(n, seed + 13).u)
-    records = [_record("covariance", n, moduli.mu, 1, seed + 12, residual, 0.0, 0.0)]
-
-    norm = check_norm(state, moduli, samples, seed + 1)
-    records.append(_record("norm", n, moduli.mu, samples, seed + 1, norm.mc, 1.0, norm.sigma))
-
-    a = seeded_hermitian(n, seed + 102)
-    b = seeded_hermitian(n, seed + 103)
-    std = check_standardisation(a, moduli, samples, seed + 2)
-    records.append(_record("standardisation", n, moduli.mu, samples, seed + 2, std.mc, std.target, std.sigma))
-
-    trc = check_traciality(a, b, moduli, samples, seed + 3)
-    records.append(_record("traciality", n, moduli.mu, samples, seed + 3, trc.mc, trc.target, trc.sigma))
-
-    w2 = weingarten2_check(n, (1, 1, 1, 1), samples, seed + 4)
-    records.append(_record("weingarten2", n, moduli.mu, samples, seed + 4, w2.mc.real, w2.closed_form, w2.sigma))
-
-    w4 = weingarten4_check(n, (1, 1, 1, 1, 1, 1, 1, 1), samples, seed + 5)
-    records.append(_record("weingarten4", n, moduli.mu, samples, seed + 5, w4.mc.real, w4.closed_form, w4.sigma))
-
-    records.append(_fraction_record(n, moduli.mu, samples, seed + 6))
-
-    recon = reconstruct_state(state_wf_sampler(state, moduli), n, moduli, samples, seed + 7)
-    err = float(np.linalg.norm(recon.rho_hat - state.rho))
-    records.append(_record("reconstruction", n, moduli.mu, samples, seed + 7, err, 0.0, recon.frobenius_error_estimate))
-
+    run = argparse.Namespace(n=n, mu=moduli.mu, moduli=moduli, samples=samples, state=_seeded_ball_state(n, seed + 11),
+                             a=seeded_hermitian(n, seed + 102), b=seeded_hermitian(n, seed + 103))
+    records = [_record(name, run, seed + offset) for name, (offset, _, _) in _CHECKS.items()]
     all_pass = all(r["pass"] for r in records)
     payload = {
         "n": n,

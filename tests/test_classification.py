@@ -19,7 +19,15 @@ import math
 import numpy as np
 import pytest
 
-from swphase import ModuliPoint, assemble_kernel, gell_mann_basis, haar_sample, moduli_canonicalize
+from swphase import (
+    TOLERANCES,
+    ModuliPoint,
+    assemble_kernel,
+    gell_mann_basis,
+    haar_sample,
+    moduli_canonicalize,
+    spectrum_from_moduli,
+)
 
 DIMS = [2, 3, 4, 5, 6]
 
@@ -91,3 +99,28 @@ def test_canonical_point_is_the_descending_point_of_the_orbit(n):
         for k in range(1, n + 1):
             assert np.sum(landed**k) == pytest.approx(np.sum(diag**k), rel=1e-12, abs=1e-12)
         assert moduli_canonicalize(canonical, basis)[1] == list(range(n))  # already canonical: the identity order
+
+
+@pytest.mark.parametrize("n", DIMS)
+def test_classes_with_different_power_sums_have_spectra_apart(n):
+    # canonical points whose power sums tr P^k, k = 1 .. N, differ beyond round-off have spectra that differ beyond
+    # the degeneracy gap, so kernels of separate classes are not unitarily equivalent; each seeded point comes with
+    # its reversed diagonal, a second point of its orbit, whose canonical point must give the same spectrum
+    basis = gell_mann_basis(n)
+    points = []
+    for seed in range(4):
+        p = _moduli(n, 500 + 10 * n + seed)
+        points += [p, _moduli_of(_diagonal(p)[::-1])]
+    canonical = [moduli_canonicalize(p, basis)[0] for p in points]
+    sums = [np.array([np.sum(_diagonal(c) ** k) for k in range(1, n + 1)]) for c in canonical]
+    spectra = [spectrum_from_moduli(c, basis).eigenvalues for c in canonical]
+    apart = 0
+    for i, j in itertools.combinations(range(len(points)), 2):
+        gap = float(np.max(np.abs(spectra[i] - spectra[j])))
+        if np.max(np.abs(sums[i] - sums[j])) > 1e-12:
+            apart += 1
+            assert gap > TOLERANCES.degeneracy_gap, (i, j, gap)
+        else:
+            assert gap <= TOLERANCES.degeneracy_gap, (i, j, gap)
+    # N = 2 has one class (mu = 1 and mu = -1 are one orbit); from N = 3 every pair from two seeds lies apart
+    assert apart == (0 if n == 2 else len(points) * (len(points) - 2) // 2)

@@ -432,6 +432,28 @@ def test_verify_rejects_too_few_samples_before_any_check(monkeypatch, capsys):
     assert code == 2 and "verify needs at least 10000 samples" in err and "Weingarten" in err
 
 
+def test_verify_runs_its_table_of_checks_on_distinct_substreams(monkeypatch, capsys):
+    # the table's rows are the checks of a run, in order, and the mutation matrix's check names; every substream a
+    # run draws from (each call below takes its seed last) lies in seed + 1 .. seed + 103, and no two draws share one
+    from test_verify_mutations import CHECKS
+
+    seed, seeds = 5, []
+    for name in ("_seeded_ball_state", "seeded_hermitian", "haar_sample", "check_norm", "check_standardisation",
+                 "check_traciality", "weingarten2_check", "weingarten4_check", "moduli_domain_fraction",
+                 "reconstruct_state"):
+        original = getattr(swphase.cli, name)
+        monkeypatch.setattr(swphase.cli, name, lambda *args, _f=original: seeds.append(args[-1] - seed) or _f(*args))
+    code, out, _ = run(capsys, "verify", "--n", "2", "--samples", "10000", "--seed", str(seed))
+    records = json.loads(out)["checks"]
+    assert code == 0 and [r["check"] for r in records] == list(swphase.cli._CHECKS)
+    assert set(swphase.cli._CHECKS) == CHECKS
+    offsets = [offset for offset, _, _ in swphase.cli._CHECKS.values()]
+    assert [r["seed"] - seed for r in records] == offsets
+    # the state at +11, covariance's second sample at +13 and the Hermitian pair at +102 and +103
+    assert set(seeds) == {11, 13, 102, 103, *offsets}
+    assert len(set(seeds)) == len(seeds) and 1 <= min(seeds) and max(seeds) <= 103
+
+
 def test_verify_csv_parity(tmp_path, capsys):
     json_path = tmp_path / "report.json"
     csv_path = tmp_path / "report.csv"
